@@ -28,12 +28,25 @@ from .solvers import (
     als_sweep,
     ascpd_iteration,
     brascpd_iteration,
+    hadamard_gram,
     init_state,
     spg_iteration,
 )
-from .tensor import DenseTensor, KruskalModel, frob_norm, reconstruct, relative_error, row_count
+from .tensor import (
+    DenseTensor,
+    KruskalModel,
+    _check_model_compatible,
+    _mttkrp,
+    frob_norm,
+    reconstruct,
+    relative_error,
+    row_count,
+)
 
 FULL_ITERATION_MTTKRPS = 4
+# below this residual^2 / ||t||^2 the Gram identity has cancelled too many
+# digits and the metric recomputes the residual from the reconstruction
+EXACT_METRIC_BELOW = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,13 +80,41 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel, 
         return clean, truth, 0.0
     noise = rng.standard_normal(clean.values.size)
     sigma = frob_norm(clean) / (math.sqrt(10.0 ** (spec.snr_db / 10.0)) * np.linalg.norm(noise))
-    noisy = DenseTensor(spec.dims, clean.values + sigma * noise)
-    return noisy, truth, float(sigma)
+    noise *= sigma            # in place: the same IEEE operations as clean + sigma * noise
+    noise += clean.values
+    return DenseTensor(spec.dims, noise), truth, float(sigma)
 
 
-def metric(t: DenseTensor, model: KruskalModel) -> float:
-    """Relative reconstruction error ||t - reconstruct(model)||_F / ||t||_F."""
-    return relative_error(t, model)
+def squared_norm(t: DenseTensor) -> float:
+    return float(t.values @ t.values)
+
+
+def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
+           last_mttkrp: np.ndarray | None = None) -> float:
+    """Relative reconstruction error ||t - reconstruct(model)||_F / ||t||_F.
+
+    Computed without the reconstruction by the Gram identity
+    ||t - Xhat||^2 = ||t||^2 - 2 <M, A_last> + sum(Hadamard product of A_n^T A_n),
+    where M is the last mode's MTTKRP.  `norm_sq` (||t||^2) and `last_mttkrp`
+    may be passed in when the caller already has them; ALS's sweep ends with
+    that MTTKRP.  The subtraction costs digits as the residual shrinks: the
+    error on m^2 is a few ulps of ||t||^2 + ||Xhat||^2, relative to ||t||^2.
+    When the identity's residual^2 falls to EXACT_METRIC_BELOW * ||t||^2 or
+    below, the residual is formed exactly instead.  A NaN model gives NaN.
+    """
+    _check_model_compatible(t, model)
+    if norm_sq is None:
+        norm_sq = squared_norm(t)
+    if norm_sq == 0.0:
+        raise ValueError("relative error is undefined for the zero tensor")
+    last = t.order - 1
+    if last_mttkrp is None:
+        last_mttkrp = _mttkrp(t, model.factors, last)
+    resid_sq = (norm_sq - 2.0 * float(np.vdot(last_mttkrp, model.factors[last]))
+                + float(hadamard_gram(model).sum()))
+    if resid_sq <= EXACT_METRIC_BELOW * norm_sq:
+        return relative_error(t, model)
+    return math.sqrt(resid_sq) / math.sqrt(norm_sq)
 
 
 def full_iteration_cost(dims) -> int:
@@ -177,7 +218,8 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
     constraints = per_mode(Constraint(cfg.constraint), t.order)
     accountant = WorkAccountant(full_iteration_cost(t.dims))
     start = time.perf_counter()
-    m0 = metric(t, state.model)
+    norm_sq = squared_norm(t)
+    m0 = metric(t, state.model, norm_sq)
     checkpoints = [Checkpoint(0, 0, m0, 0.0)]
     record = RunRecord(solver=cfg.solver, seed=cfg.seed, trial=trial,
                        config=_config_echo(cfg, t.dims, echo_extra),
@@ -187,8 +229,8 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
 
     if cfg.solver == "als":
         for sweep in range(1, cfg.max_full_iters + 1):
-            als_sweep(state, t, constraints)
-            m = metric(t, state.model)
+            last_mttkrp = als_sweep(state, t, constraints)
+            m = metric(t, state.model, norm_sq, last_mttkrp)
             checkpoints.append(Checkpoint(sweep, state.work_units, m,
                                           time.perf_counter() - start))
             if cfg.tol is not None and m <= cfg.tol:
@@ -210,7 +252,7 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
         index = accountant.update(state.work_units)
         if index is None:
             continue
-        m = metric(t, state.model)
+        m = metric(t, state.model, norm_sq)
         checkpoints.append(Checkpoint(index, state.work_units, m,
                                       time.perf_counter() - start))
         if index >= cfg.max_full_iters or (cfg.tol is not None and m <= cfg.tol):

@@ -222,8 +222,9 @@ def full_gradient(t: DenseTensor, model: KruskalModel, mode: int,
     return np.asarray(at, dtype=np.float64) @ gram - mttkrp(t, model, mode)
 
 
-def hadamard_gram(model: KruskalModel, skip: int) -> np.ndarray:
-    """K^T K for the full Khatri-Rao product, as the Hadamard product of factor Grams."""
+def hadamard_gram(model: KruskalModel, skip: int | None = None) -> np.ndarray:
+    """K^T K for the Khatri-Rao product of every factor but `skip` (None: all of
+    them), as the Hadamard product of factor Grams."""
     out = np.ones((model.rank, model.rank))
     for n, f in enumerate(model.factors):
         if n != skip:
@@ -356,12 +357,14 @@ def _prox_block_solve(a0: np.ndarray, gram: np.ndarray, rhs: np.ndarray,
     return a_prev
 
 
-def als_sweep(state: SolverState, t: DenseTensor, constraints: list[Constraint]) -> None:
+def als_sweep(state: SolverState, t: DenseTensor, constraints: list[Constraint]) -> np.ndarray:
     """One pass over all modes, each solving its least-squares block in place.
 
     Updated factors are used immediately by the later modes of the same sweep.
     The sweep is charged four full-MTTKRP equivalents of work (one
-    full-iteration unit).
+    full-iteration unit).  Returns the last mode's MTTKRP, which stays exact
+    for the updated model (only the last factor changed after it) and so
+    lets the metric skip its own MTTKRP.
     """
     model = state.model
     for i in range(t.order):
@@ -373,6 +376,7 @@ def als_sweep(state: SolverState, t: DenseTensor, constraints: list[Constraint])
             model.factors[i] = _prox_block_solve(model.factors[i], gram, rhs, constraints[i])
     state.iteration += 1
     state.work_units += 4 * math.prod(t.dims)
+    return rhs
 
 
 # ---------------------------------------------------------------------------

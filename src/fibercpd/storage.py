@@ -25,6 +25,7 @@ wall_seconds are deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -50,27 +51,31 @@ def write_tensor(t: DenseTensor, path) -> None:
 
 
 def read_tensor(path) -> DenseTensor:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise FileFormatError(f"{path}: truncated header")
-    magic, version, order = struct.unpack("<4sHH", raw[:8])
-    if magic != TENSOR_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format version {version}")
-    if order < 1:
-        raise FileFormatError(f"{path}: order must be positive")
-    dims_end = 8 + 8 * order
-    if len(raw) < dims_end:
-        raise FileFormatError(f"{path}: truncated dims block")
-    dims = tuple(int(d) for d in np.frombuffer(raw[8:dims_end], dtype="<u8"))
-    if any(d < 1 for d in dims):
-        raise FileFormatError(f"{path}: nonpositive dim in {dims}")
-    expected = dims_end + 8 * math.prod(dims)
-    if len(raw) != expected:
-        raise FileFormatError(f"{path}: payload length {len(raw) - dims_end} bytes does not "
-                              f"match dims {dims} (expected {expected - dims_end})")
-    values = np.frombuffer(raw[dims_end:], dtype="<f8").astype(np.float64)
+    """Load a DTEN file: the header from a short read, the payload in one copy."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if len(head) < 8:
+            raise FileFormatError(f"{path}: truncated header")
+        magic, version, order = struct.unpack("<4sHH", head)
+        if magic != TENSOR_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FileFormatError(f"{path}: unsupported format version {version}")
+        if order < 1:
+            raise FileFormatError(f"{path}: order must be positive")
+        dims_raw = f.read(8 * order)
+        if len(dims_raw) < 8 * order:
+            raise FileFormatError(f"{path}: truncated dims block")
+        dims = tuple(int(d) for d in np.frombuffer(dims_raw, dtype="<u8"))
+        if any(d < 1 for d in dims):
+            raise FileFormatError(f"{path}: nonpositive dim in {dims}")
+        count = math.prod(dims)
+        payload = size - 8 - 8 * order
+        if payload != 8 * count:
+            raise FileFormatError(f"{path}: payload length {payload} bytes does not "
+                                  f"match dims {dims} (expected {8 * count})")
+        values = np.fromfile(f, dtype="<f8", count=count)
     if not np.isfinite(values).all():
         raise FileFormatError(f"{path}: payload contains non-finite values")
     return DenseTensor(dims, values)

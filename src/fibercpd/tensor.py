@@ -17,6 +17,23 @@ holds exactly, with kr_full stacking the surviving factors so that the
 smallest mode is the fastest Kronecker index.  Everything downstream (fiber
 sampling, sampled gradients, the solvers) relies on this identity.
 
+The kernels work on the flat storage without permuting it.  With L and R_t the
+products of the dims before and after mode n, the storage is an (L, I_n, R_t)
+Fortran-order array: a fiber gather indexes it at [j % L, :, j // L], and the
+MTTKRP is one GEMM of its (L * I_n, R_t) matricization with the Khatri-Rao
+product of the later factors, followed by a batched reduction against that of
+the earlier factors.
+
+The reconstruction error needs no reconstruction either:
+
+    ||X - Xhat||^2 = ||X||^2 - 2 <mttkrp(X, model, N-1), A_{N-1}>
+                     + sum(A_0^T A_0 * ... * A_{N-1}^T A_{N-1})
+
+(`*` elementwise).  experiments.metric evaluates it with ||X||^2 computed once
+per run, reuses the MTTKRP an ALS sweep ends with, and falls back to the
+exact form `objective` when the residual^2 is at most 1e-10 ||X||^2, where the
+subtraction cancels too many digits.
+
 Modes are 0-based everywhere in this package.
 """
 
@@ -192,22 +209,21 @@ def khatri_rao(a, b) -> np.ndarray:
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
+def _kr_chain(factors, rank: int) -> np.ndarray:
+    """Khatri-Rao product of `factors` with the first one fastest; 1 x rank ones if empty."""
+    out = np.ones((1, rank))
+    for f in factors:
+        out = khatri_rao(f, out)
+    return out
+
+
 def kr_full(model: KruskalModel, mode: int) -> np.ndarray:
     """Khatri-Rao product of all factors except `mode`, smallest mode fastest.
 
     Rows are aligned with the rows of unfold(., mode), so the reconstruction
     satisfies unfold(reconstruct(model), mode) == kr_full(model, mode) @ A_mode.T.
     """
-    _check_mode(model.dims, mode)
-    out = None
-    for n in surviving_modes(model.dims, mode):
-        f = model.factors[n]
-        out = f if out is None else khatri_rao(f, out)
-    if out is None:  # order-1 tensor: empty product is the 1 x R row of ones
-        return np.ones((1, model.rank))
-    if any(out is f for f in model.factors):  # single surviving factor: do not alias it
-        out = out.copy()
-    return out
+    return _kr_chain([model.factors[n] for n in surviving_modes(model.dims, mode)], model.rank)
 
 
 def kr_rows(model: KruskalModel, mode: int, rows) -> np.ndarray:
@@ -231,17 +247,19 @@ def kr_rows(model: KruskalModel, mode: int, rows) -> np.ndarray:
 def gather_fiber_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
     """Rows `rows` of the mode unfolding, gathered straight from flat storage.
 
-    Touches exactly len(rows) * I_mode tensor entries.
+    Row j of the unfolding is the fiber at [j % L, :, j // L] of the
+    (L, I_mode, R_t) view described in the module docs; no per-entry index
+    matrix is built.  Touches exactly len(rows) * I_mode tensor entries.
     """
     dims = t.dims
+    _check_mode(dims, mode)
     rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-    digits = rows_to_digits(dims, mode, rows)
-    strides = np.cumprod((1,) + dims[:-1]).astype(np.int64)
-    base = np.zeros(rows.size, dtype=np.int64)
-    for k, n in enumerate(surviving_modes(dims, mode)):
-        base += digits[k] * strides[n]
-    cols = strides[mode] * np.arange(dims[mode], dtype=np.int64)
-    return t.values[base[:, None] + cols[None, :]]
+    left = math.prod(dims[:mode])
+    right = math.prod(dims[mode + 1:])
+    if rows.size and (rows.min() < 0 or rows.max() >= left * right):
+        raise ValueError(f"fiber row index out of range [0, {left * right})")
+    view = t.values.reshape(left, dims[mode], right, order="F")
+    return view[rows % left, :, rows // left]
 
 
 def _check_model_compatible(t: DenseTensor, model: KruskalModel, skip: int | None = None):
@@ -254,20 +272,35 @@ def _check_model_compatible(t: DenseTensor, model: KruskalModel, skip: int | Non
         raise ValueError(f"model order {model.order} != tensor order {t.order}")
 
 
+def _mttkrp(t: DenseTensor, factors, mode: int) -> np.ndarray:
+    """MTTKRP kernel on the Fortran-ordered storage, without permuting the tensor.
+
+    With L and R_t the products of the dims before and after `mode`, the
+    storage is the (L * I_mode, R_t) matrix whose columns are contracted with the
+    Khatri-Rao product of the later factors in one GEMM; the (I_mode, L, rank)
+    result is then reduced against the Khatri-Rao product of the earlier
+    factors.  The first and the last mode need a single GEMM.  No validation.
+    """
+    dims = t.dims
+    rank = factors[0].shape[1]
+    left = math.prod(dims[:mode])
+    i_n = dims[mode]
+    if mode == len(dims) - 1:
+        return t.values.reshape(left, i_n, order="F").T @ _kr_chain(factors[:mode], rank)
+    right = math.prod(dims[mode + 1:])
+    partial = (t.values.reshape(left * i_n, right, order="F")
+               @ _kr_chain(factors[mode + 1:], rank))
+    if mode == 0:
+        return partial
+    return np.einsum("ilz,lz->iz", partial.reshape(i_n, left, rank),
+                     _kr_chain(factors[:mode], rank))
+
+
 def mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
-    """Full MTTKRP: unfold(t, mode).T @ kr_full(model, mode), computed by contraction."""
+    """Full MTTKRP: unfold(t, mode).T @ kr_full(model, mode), computed by GEMMs."""
     _check_mode(t.dims, mode)
     _check_model_compatible(t, model, skip=mode)
-    n_modes = t.order
-    if n_modes > len(_LETTERS):
-        raise ValueError(f"order {n_modes} exceeds supported maximum {len(_LETTERS)}")
-    operands, subs = [t.array], [_LETTERS[:n_modes]]
-    for n in range(n_modes):
-        if n != mode:
-            operands.append(model.factors[n])
-            subs.append(_LETTERS[n] + "z")
-    expr = ",".join(subs) + "->" + _LETTERS[mode] + "z"
-    return np.einsum(expr, *operands, optimize=True)
+    return _mttkrp(t, model.factors, mode)
 
 
 def partial_mttkrp(t: DenseTensor, model: KruskalModel, mode: int, rows) -> np.ndarray:

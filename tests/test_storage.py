@@ -79,6 +79,24 @@ def test_tensor_trailing_junk_rejected(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("cut,match", [
+    (-1, "length"),           # payload one byte short
+    (8, "length"),            # one value too many
+    (-32, "length"),          # no payload at all
+    (-33, "truncated dims"),  # dims block one byte short
+    (-52, "truncated header"),
+])
+def test_tensor_wrong_size_rejected(tmp_path, cut, match):
+    t = DenseTensor((2, 2), np.arange(4.0))
+    path = tmp_path / "t.dten"
+    write_tensor(t, path)
+    raw = path.read_bytes()
+    assert len(raw) == 56
+    path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+    with pytest.raises(FileFormatError, match=match):
+        read_tensor(path)
+
+
 def test_tensor_nan_payload_rejected(tmp_path):
     t = DenseTensor((2, 2), np.ones(4))
     path = tmp_path / "t.dten"
