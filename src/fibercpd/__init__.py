@@ -8,9 +8,8 @@ from .experiments import (
     metric,
     run,
     run_trials,
-    stochastic_iters_per_full,
 )
-from .sampling import FiberSample, FiberSampler, SamplerConfig
+from .sampling import FiberSample, FiberSampler
 from .solvers import (
     SOLVERS,
     Adagrad,

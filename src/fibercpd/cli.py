@@ -6,7 +6,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .experiments import (
     run_trials,
 )
 from .sampling import RNG_ALGORITHM
-from .solvers import SOLVERS, Adagrad, Diminishing, LocallyOptimal, SolverConfig
+from .solvers import SCHEDULES, SOLVERS, SolverConfig
 from .storage import (
     FileFormatError,
     read_tensor,
@@ -30,7 +30,16 @@ from .storage import (
 )
 from .tensor import DenseTensor
 
-STOCHASTIC_SOLVERS = ("ascpd", "spg", "brascpd", "adacpd")
+# each schedule type once, in solver order; every field of one is a
+# hyperparameter with a `decompose` flag and a bench JSON key of its name
+SCHEDULE_KINDS = tuple(dict.fromkeys(SCHEDULES.values()))
+HYPERPARAMETERS = tuple(f.name for kind in SCHEDULE_KINDS for f in fields(kind))
+
+
+def schedule_from(kind, hyperparameters: dict):
+    """A `kind` schedule from the given hyperparameters among its fields; defaults elsewhere."""
+    return kind(**{f.name: hyperparameters[f.name] for f in fields(kind)
+                   if f.name in hyperparameters})
 
 
 @dataclass
@@ -43,12 +52,7 @@ class RunConfig:
     input: str | None = None
     constraint: str = "none"
     block: tuple[int, ...] | None = None
-    alpha: float = 0.1
-    beta_exp: float = 1e-6
-    eta: float = 1.0
-    b: float = 1e-6
-    eps: float = 1e-6
-    cond: float = 100.0
+    hyperparameters: dict = field(default_factory=dict)   # given schedule fields by name
     snr_db: float | None = None
     seed: int = 0
     trials: int = 1
@@ -70,22 +74,13 @@ class RunConfig:
             raise ValueError("rank must be >= 1")
         if self.constraint not in CONSTRAINT_KINDS:
             raise ValueError(f"unknown constraint {self.constraint!r}")
-        needs_block = any(s in STOCHASTIC_SOLVERS for s in self.solvers)
-        if needs_block:
+        if any(s in SCHEDULES for s in self.solvers):
             if self.block is None:
                 raise ValueError("--block is required for stochastic solvers")
             if any(b < 1 for b in self.block):
                 raise ValueError("blocksizes must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        if self.b <= 0:
-            raise ValueError("b must be > 0")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.cond <= 1:
-            raise ValueError("cond must exceed 1")
+        for kind in SCHEDULE_KINDS:    # every given value, whichever solvers run
+            schedule_from(kind, self.hyperparameters)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.max_full_iters < 0:
@@ -95,22 +90,14 @@ class RunConfig:
         if self.snr_db is not None and self.dims is None:
             raise ValueError("snr applies only to synthetic dims")
 
-    def schedule_for(self, solver: str):
-        if solver in ("ascpd", "spg"):
-            return LocallyOptimal(self.cond)
-        if solver == "brascpd":
-            return Diminishing(self.alpha, self.beta_exp)
-        if solver == "adacpd":
-            return Adagrad(self.eta, self.b, self.eps)
-        return None
-
     def solver_config(self, solver: str) -> SolverConfig:
         return SolverConfig(
             solver=solver,
             rank=self.rank,
             constraint=self.constraint,
             blocksizes=self.block if self.block is not None else 1,
-            schedule=self.schedule_for(solver),
+            schedule=schedule_from(SCHEDULES[solver], self.hyperparameters)
+            if solver in SCHEDULES else None,
             seed=self.seed,
             max_full_iters=self.max_full_iters,
             tol=self.tol,
@@ -169,13 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--block", type=_parse_blocks, default=None,
                    help="fiber blocksize (single int or one per mode)")
-    p.add_argument("--cond", type=float, default=100.0,
-                   help="condition-number target for ascpd/spg")
-    p.add_argument("--alpha", type=float, default=0.1, help="brascpd base step")
-    p.add_argument("--beta-exp", type=float, default=1e-6, help="brascpd step decay exponent")
-    p.add_argument("--eta", type=float, default=1.0, help="adacpd step scale")
-    p.add_argument("--b", type=float, default=1e-6, help="adacpd accumulator offset")
-    p.add_argument("--eps", type=float, default=1e-6, help="adacpd exponent offset")
+    for kind in SCHEDULE_KINDS:
+        users = "/".join(s for s, k in SCHEDULES.items() if k is kind)
+        for f in fields(kind):
+            p.add_argument("--" + f.name.replace("_", "-"), type=float, default=None,
+                           help=f"{users} {kind.__name__} {f.name} (default {f.default})")
     p.add_argument("--constraint", choices=CONSTRAINT_KINDS, default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-full-iters", type=int, default=100)
@@ -228,12 +213,8 @@ def cmd_decompose(args) -> int:
         input=args.input,
         constraint=args.constraint,
         block=args.block,
-        alpha=args.alpha,
-        beta_exp=args.beta_exp,
-        eta=args.eta,
-        b=args.b,
-        eps=args.eps,
-        cond=args.cond,
+        hyperparameters={name: getattr(args, name) for name in HYPERPARAMETERS
+                         if getattr(args, name) is not None},
         seed=args.seed,
         trials=1,
         max_full_iters=args.max_full_iters,
@@ -278,8 +259,8 @@ def cmd_bench(args) -> int:
 
 
 _JSON_KEYS = {"solvers", "solver", "dims", "input", "rank", "constraint", "block",
-              "alpha", "beta_exp", "eta", "b", "eps", "cond", "snr_db", "seed",
-              "trials", "max_full_iters", "tol", "out_dir"}
+              "snr_db", "seed", "trials", "max_full_iters", "tol", "out_dir",
+              *HYPERPARAMETERS}
 
 
 def config_from_json(raw: dict) -> RunConfig:
@@ -304,12 +285,8 @@ def config_from_json(raw: dict) -> RunConfig:
         input=raw.get("input"),
         constraint=raw.get("constraint", "none"),
         block=block,
-        alpha=float(raw.get("alpha", 0.1)),
-        beta_exp=float(raw.get("beta_exp", 1e-6)),
-        eta=float(raw.get("eta", 1.0)),
-        b=float(raw.get("b", 1e-6)),
-        eps=float(raw.get("eps", 1e-6)),
-        cond=float(raw.get("cond", 100.0)),
+        hyperparameters={name: float(raw[name]) for name in HYPERPARAMETERS
+                         if raw.get(name) is not None},
         snr_db=None if raw.get("snr_db") is None else float(raw["snr_db"]),
         seed=int(raw.get("seed", 0)),
         trials=int(raw.get("trials", 1)),

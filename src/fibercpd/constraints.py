@@ -29,11 +29,6 @@ class Constraint:
             return np.maximum(m, 0.0)
         return m
 
-    def satisfied_by(self, m: np.ndarray) -> bool:
-        if self.kind == "nonneg":
-            return bool((m >= 0.0).all())
-        return True
-
 
 def per_mode(constraint, order: int) -> list[Constraint]:
     """Broadcast a single constraint (or kind string) to one per mode."""

@@ -13,25 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import solvers
 from .constraints import Constraint, per_mode
 from .sampling import RNG_ALGORITHM, FiberSampler
-from .solvers import (
-    Adagrad,
-    Diminishing,
-    LocallyOptimal,
-    SolverConfig,
-    adacpd_iteration,
-    als_sweep,
-    ascpd_iteration,
-    brascpd_iteration,
-    hadamard_gram,
-    init_state,
-    spg_iteration,
-)
+from .solvers import LocallyOptimal, SolverConfig, hadamard_gram, init_state
 from .tensor import (
     DenseTensor,
     KruskalModel,
@@ -40,7 +29,6 @@ from .tensor import (
     frob_norm,
     reconstruct,
     relative_error,
-    row_count,
 )
 
 FULL_ITERATION_MTTKRPS = 4
@@ -121,35 +109,6 @@ def full_iteration_cost(dims) -> int:
     return FULL_ITERATION_MTTKRPS * math.prod(int(d) for d in dims)
 
 
-def stochastic_iters_per_full(dims, blocksizes) -> int:
-    """Stochastic iterations whose average touched entries equal one full iteration."""
-    dims = tuple(int(d) for d in dims)
-    if isinstance(blocksizes, int):
-        blocksizes = (blocksizes,) * len(dims)
-    per_iter = [min(int(b), row_count(dims, n)) * dims[n]
-                for n, b in enumerate(blocksizes)]
-    mean_entries = sum(per_iter) / len(per_iter)
-    return max(1, round(full_iteration_cost(dims) / mean_entries))
-
-
-@dataclass
-class WorkAccountant:
-    """Tracks touched entries and reports crossings of full-iteration multiples."""
-
-    full_iteration_cost: int
-    entries_touched: int = 0
-    _last_index: int = 0
-
-    def update(self, total_entries: int) -> int | None:
-        """Record the new total; return the full-iteration index if one was crossed."""
-        self.entries_touched = total_entries
-        index = total_entries // self.full_iteration_cost
-        if index > self._last_index:
-            self._last_index = index
-            return index
-        return None
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     full_iter: int
@@ -184,16 +143,8 @@ def _config_echo(cfg: SolverConfig, dims, extra: dict | None = None) -> dict:
         "constraint": cfg.constraint,
         "block": ",".join(str(b) for b in cfg.blocks_for(len(dims))),
     }
-    schedule = cfg.resolved_schedule()
-    if isinstance(schedule, LocallyOptimal):
-        echo["cond"] = schedule.cond_target
-    elif isinstance(schedule, Diminishing):
-        echo["alpha"] = schedule.alpha
-        echo["beta_exp"] = schedule.beta_exp
-    elif isinstance(schedule, Adagrad):
-        echo["eta"] = schedule.eta
-        echo["b"] = schedule.b
-        echo["eps"] = schedule.eps
+    if cfg.schedule is not None:
+        echo.update(asdict(cfg.schedule))
     echo.update({
         "seed": cfg.seed,
         "max_full_iters": cfg.max_full_iters,
@@ -216,7 +167,7 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     state = init_state(rng, t.dims, cfg.rank, cfg.solver)
     constraints = per_mode(Constraint(cfg.constraint), t.order)
-    accountant = WorkAccountant(full_iteration_cost(t.dims))
+    cost = full_iteration_cost(t.dims)
     start = time.perf_counter()
     norm_sq = squared_norm(t)
     m0 = metric(t, state.model, norm_sq)
@@ -227,32 +178,29 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
     if cfg.max_full_iters == 0 or (cfg.tol is not None and m0 <= cfg.tol):
         return record
 
+    # the step is read from the solvers module once per run, so a function
+    # rebound there (a tracer, a test double) is the one that runs
     if cfg.solver == "als":
-        for sweep in range(1, cfg.max_full_iters + 1):
-            last_mttkrp = als_sweep(state, t, constraints)
-            m = metric(t, state.model, norm_sq, last_mttkrp)
-            checkpoints.append(Checkpoint(sweep, state.work_units, m,
-                                          time.perf_counter() - start))
-            if cfg.tol is not None and m <= cfg.tol:
-                break
-        return record
+        sweep = solvers.als_sweep
 
-    sampler = FiberSampler(t.dims, cfg.blocks_for(t.order), rng=rng)
-    schedule = cfg.resolved_schedule()
+        def step():
+            return sweep(state, t, constraints)   # the last MTTKRP, reused by metric
+    else:
+        iteration = getattr(solvers, f"{cfg.solver}_iteration")
+        sampler = FiberSampler(t.dims, cfg.blocks_for(t.order), rng=rng)
+        # ascpd and spg take the bare condition-number target
+        arg = cfg.schedule.cond if isinstance(cfg.schedule, LocallyOptimal) else cfg.schedule
+
+        def step():
+            iteration(state, t, sampler.draw(), constraints, arg)
+
+    index = 0
     while True:
-        sample = sampler.draw()
-        if cfg.solver == "ascpd":
-            ascpd_iteration(state, t, sample, constraints, schedule.cond_target)
-        elif cfg.solver == "spg":
-            spg_iteration(state, t, sample, constraints, schedule.cond_target)
-        elif cfg.solver == "brascpd":
-            brascpd_iteration(state, t, sample, constraints, schedule)
-        else:
-            adacpd_iteration(state, t, sample, constraints, schedule)
-        index = accountant.update(state.work_units)
-        if index is None:
+        last_mttkrp = step()
+        if state.work_units // cost == index:
             continue
-        m = metric(t, state.model, norm_sq)
+        index = state.work_units // cost
+        m = metric(t, state.model, norm_sq, last_mttkrp)
         checkpoints.append(Checkpoint(index, state.work_units, m,
                                       time.perf_counter() - start))
         if index >= cfg.max_full_iters or (cfg.tol is not None and m <= cfg.tol):
@@ -291,17 +239,25 @@ def _permutation_free_mean(values: list[float]) -> float:
 
 
 def average_records(records: list[RunRecord]) -> RunRecord:
-    """Per-checkpoint mean across trials, aligned on the full-iteration index."""
+    """Per-checkpoint mean across trials, aligned on the full-iteration index.
+
+    A trial that stopped before an index (at its tolerance) still counts at
+    it with its final m_k, so the mean curve is not left to the slower
+    trials.  work_units and wall_seconds average only the trials that
+    reached the index.
+    """
     if not records:
         raise ValueError("nothing to average")
     by_index: dict[int, list[Checkpoint]] = {}
     for rec in records:
         for cp in rec.checkpoints:
             by_index.setdefault(cp.full_iter, []).append(cp)
+    finals = [rec.checkpoints[-1] for rec in records]
     checkpoints = [
         Checkpoint(idx,
                    round(_permutation_free_mean([c.work_units for c in cps])),
-                   _permutation_free_mean([c.m for c in cps]),
+                   _permutation_free_mean([c.m for c in cps]
+                                          + [f.m for f in finals if f.full_iter < idx]),
                    _permutation_free_mean([c.wall_seconds for c in cps]))
         for idx, cps in sorted(by_index.items())
     ]

@@ -13,25 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import digits_to_rows, row_count, rows_to_digits
+from .tensor import row_count
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Per-mode blocksizes plus the seed that makes a trial reproducible."""
-
-    blocksizes: tuple[int, ...]
-    seed: int = 0
-    round_robin_modes: bool = False  # cycle modes instead of sampling them; off by default
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocksizes", tuple(int(b) for b in self.blocksizes))
-        if any(b < 1 for b in self.blocksizes):
-            raise ValueError(f"blocksizes must be >= 1, got {self.blocksizes}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +26,6 @@ class FiberSample:
 
     mode: int
     indices: np.ndarray
-    draw_id: int = 0
 
     @property
     def size(self) -> int:
@@ -76,62 +61,37 @@ def sample_without_replacement(rng: np.random.Generator, population: int, k: int
 
 
 def sample_fibers(rng: np.random.Generator, mode: int, j_count: int, block: int,
-                  draw_id: int = 0, *, warn_clamp: bool = True) -> FiberSample:
+                  *, warn_clamp: bool = True) -> FiberSample:
     """Draw min(block, j_count) distinct fiber rows, uniformly without replacement."""
     if block < 1:
         raise ValueError(f"blocksize must be >= 1, got {block}")
     if block > j_count and warn_clamp:
         logger.warning("blocksize %d exceeds the %d mode-%d fibers; clamping", block, j_count, mode)
-    return FiberSample(mode=mode, indices=sample_without_replacement(rng, j_count, block),
-                       draw_id=draw_id)
-
-
-def fiber_to_multi_index(dims, mode: int, row: int) -> tuple[int, ...]:
-    """0-based indices of the surviving modes (increasing mode order) for one row."""
-    digits = rows_to_digits(dims, mode, [int(row)])
-    return tuple(int(d[0]) for d in digits)
-
-
-def multi_index_to_fiber(dims, mode: int, multi) -> int:
-    """Inverse of fiber_to_multi_index."""
-    digits = np.asarray(multi, dtype=np.int64).reshape(-1, 1)
-    return int(digits_to_rows(dims, mode, digits)[0])
+    return FiberSample(mode=mode, indices=sample_without_replacement(rng, j_count, block))
 
 
 class FiberSampler:
     """Stateful per-trial sampler; owns one RNG stream (single-owner, not thread-safe)."""
 
     def __init__(self, dims, blocksizes, seed: int = 0, *,
-                 rng: np.random.Generator | None = None, round_robin_modes: bool = False):
+                 rng: np.random.Generator | None = None):
         self.dims = tuple(int(d) for d in dims)
         if isinstance(blocksizes, int):
             blocksizes = (blocksizes,) * len(self.dims)
-        self.config = SamplerConfig(tuple(blocksizes), seed=seed,
-                                    round_robin_modes=round_robin_modes)
-        if len(self.config.blocksizes) != len(self.dims):
+        self.blocksizes = tuple(int(b) for b in blocksizes)
+        if len(self.blocksizes) != len(self.dims):
             raise ValueError("need one blocksize per mode")
+        if any(b < 1 for b in self.blocksizes):
+            raise ValueError(f"blocksizes must be >= 1, got {self.blocksizes}")
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.row_counts = tuple(row_count(self.dims, n) for n in range(len(self.dims)))
-        self._draws = 0
         self._clamp_warned = set()
-
-    @classmethod
-    def from_config(cls, dims, config: SamplerConfig) -> "FiberSampler":
-        return cls(dims, config.blocksizes, seed=config.seed,
-                   round_robin_modes=config.round_robin_modes)
 
     def draw(self) -> FiberSample:
         """Pick a mode, then its fiber rows; one fixed-order use of the RNG stream."""
-        n_modes = len(self.dims)
-        if self.config.round_robin_modes:
-            mode = self._draws % n_modes
-        else:
-            mode = pick_mode(self.rng, n_modes)
-        block = self.config.blocksizes[mode]
+        mode = pick_mode(self.rng, len(self.dims))
+        block = self.blocksizes[mode]
         warn = mode not in self._clamp_warned
         if block > self.row_counts[mode]:
             self._clamp_warned.add(mode)
-        sample = sample_fibers(self.rng, mode, self.row_counts[mode], block,
-                               draw_id=self._draws, warn_clamp=warn)
-        self._draws += 1
-        return sample
+        return sample_fibers(self.rng, mode, self.row_counts[mode], block, warn_clamp=warn)

@@ -38,12 +38,11 @@ from .tensor import (
 
 logger = logging.getLogger(__name__)
 
-SOLVERS = ("ascpd", "spg", "brascpd", "adacpd", "als")
-
 
 # ---------------------------------------------------------------------------
 # step schedules
 # ---------------------------------------------------------------------------
+# Each bound is written as `not <rule>` so that NaN fails it too.
 
 @dataclass(frozen=True)
 class Diminishing:
@@ -53,7 +52,7 @@ class Diminishing:
     beta_exp: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
 
     def step(self, k: int) -> float:
@@ -71,32 +70,33 @@ class Adagrad:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be > 0")
-        if self.b < 0 or self.eps < 0:
-            raise ValueError("b and eps must be >= 0")
+        if not self.b >= 0:
+            raise ValueError("b must be >= 0")
+        if not self.eps >= 0:
+            raise ValueError("eps must be >= 0")
 
 
 @dataclass(frozen=True)
 class LocallyOptimal:
     """Constant step 1/L_bar with the condition-number cap enforced by the lambda rule."""
 
-    cond_target: float = 100.0
+    cond: float = 100.0
 
     def __post_init__(self):
-        if self.cond_target <= 1:
-            raise ValueError("cond_target must exceed 1")
+        if not self.cond > 1:
+            raise ValueError("cond must be > 1")
 
 
 Schedule = Diminishing | Adagrad | LocallyOptimal
 
-_SCHEDULE_FOR = {"brascpd": Diminishing, "adacpd": Adagrad,
-                 "ascpd": LocallyOptimal, "spg": LocallyOptimal}
-
-
-def default_schedule(solver: str) -> Schedule | None:
-    kind = _SCHEDULE_FOR.get(solver)
-    return kind() if kind is not None else None
+# The stochastic solvers and the schedule each takes.  The schedule fields are
+# the hyperparameters: their defaults, bounds, CLI flags, bench keys and CSV
+# echo all come from these dataclasses.
+SCHEDULES = {"ascpd": LocallyOptimal, "spg": LocallyOptimal,
+             "brascpd": Diminishing, "adacpd": Adagrad}
+SOLVERS = (*SCHEDULES, "als")
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,22 @@ def hadamard_gram(model: KruskalModel, skip: int | None = None) -> np.ndarray:
 # stochastic iterations (each touches exactly one mode)
 # ---------------------------------------------------------------------------
 
-def _charge(state: SolverState, t: DenseTensor, sample: FiberSample) -> None:
+def _gradient(state: SolverState, t: DenseTensor, sample: FiberSample,
+              at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sampled_gradient at `at`, charging the sample's entries and counting the iteration."""
+    grad, gram = sampled_gradient(t, state.model, sample, at)
     state.work_units += sample.size * t.dims[sample.mode]
     state.iteration += 1
+    return grad, gram
+
+
+def _curvature(state: SolverState, gram: np.ndarray, cond_target: float,
+               mode: int) -> CurvatureEstimate | None:
+    est = estimate_curvature(gram, cond_target)
+    if est is None:
+        logger.warning("iteration %d: all-zero sampled rows on mode %d; skipping update",
+                       state.iteration, mode)
+    return est
 
 
 def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
@@ -252,12 +265,9 @@ def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     i = sample.mode
     a_old = state.model.factors[i]
     y_old = state.extrapolation.factors[i]
-    grad, gram = sampled_gradient(t, state.model, sample, y_old)
-    _charge(state, t, sample)
-    est = estimate_curvature(gram, cond_target)
+    grad, gram = _gradient(state, t, sample, y_old)
+    est = _curvature(state, gram, cond_target, i)
     if est is None:
-        logger.warning("iteration %d: all-zero sampled rows on mode %d; skipping update",
-                       state.iteration, i)
         return None
     grad_reg = grad + est.lam * (y_old - a_old)
     a_new = constraints[i].prox(y_old - grad_reg / est.L_bar)
@@ -271,14 +281,10 @@ def spg_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     """The ascpd update without extrapolation or momentum: prox(A - grad / L_bar)."""
     i = sample.mode
     a_old = state.model.factors[i]
-    grad, gram = sampled_gradient(t, state.model, sample, a_old)
-    _charge(state, t, sample)
-    est = estimate_curvature(gram, cond_target)
-    if est is None:
-        logger.warning("iteration %d: all-zero sampled rows on mode %d; skipping update",
-                       state.iteration, i)
-        return None
-    state.model.factors[i] = constraints[i].prox(a_old - grad / est.L_bar)
+    grad, gram = _gradient(state, t, sample, a_old)
+    est = _curvature(state, gram, cond_target, i)
+    if est is not None:
+        state.model.factors[i] = constraints[i].prox(a_old - grad / est.L_bar)
     return est
 
 
@@ -287,8 +293,7 @@ def brascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     """Proximal gradient step A - (alpha_k / |F|) * grad with diminishing alpha_k."""
     i = sample.mode
     a_old = state.model.factors[i]
-    grad, _ = sampled_gradient(t, state.model, sample, a_old)
-    _charge(state, t, sample)
+    grad, _ = _gradient(state, t, sample, a_old)
     alpha_k = schedule.step(state.iteration)
     state.model.factors[i] = constraints[i].prox(a_old - (alpha_k / sample.size) * grad)
 
@@ -298,8 +303,7 @@ def adacpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     """Adagrad step: accumulate squared gradients, scale elementwise, prox."""
     i = sample.mode
     a_old = state.model.factors[i]
-    grad, _ = sampled_gradient(t, state.model, sample, a_old)
-    _charge(state, t, sample)
+    grad, _ = _gradient(state, t, sample, a_old)
     acc = state.adagrad_accumulator[i]
     acc += grad * grad
     denom = (schedule.b + acc) ** (0.5 + schedule.eps)
@@ -391,7 +395,7 @@ class SolverConfig:
     rank: int
     constraint: str = "none"
     blocksizes: int | tuple[int, ...] = 1
-    schedule: Schedule | None = None
+    schedule: Schedule | None = None    # None: the solver's default schedule (ALS: none)
     seed: int = 0
     max_full_iters: int = 100
     tol: float | None = None
@@ -405,14 +409,14 @@ class SolverConfig:
             raise ValueError("max_full_iters must be >= 0")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive when given")
-        expected = _SCHEDULE_FOR.get(self.solver)
-        if self.schedule is not None and expected is not None \
-                and not isinstance(self.schedule, expected):
-            raise ValueError(f"solver {self.solver} takes a {expected.__name__} schedule, "
+        kind = SCHEDULES.get(self.solver)
+        if kind is None:
+            return
+        if self.schedule is None:
+            object.__setattr__(self, "schedule", kind())
+        elif not isinstance(self.schedule, kind):
+            raise ValueError(f"solver {self.solver} takes a {kind.__name__} schedule, "
                              f"got {type(self.schedule).__name__}")
-
-    def resolved_schedule(self) -> Schedule | None:
-        return self.schedule if self.schedule is not None else default_schedule(self.solver)
 
     def blocks_for(self, order: int) -> tuple[int, ...]:
         if isinstance(self.blocksizes, int):

@@ -165,17 +165,6 @@ def rows_to_digits(dims, mode: int, rows) -> np.ndarray:
     return digits
 
 
-def digits_to_rows(dims, mode: int, digits: np.ndarray) -> np.ndarray:
-    """Inverse of rows_to_digits."""
-    surv = surviving_modes(dims, mode)
-    rows = np.zeros(digits.shape[1], dtype=np.int64)
-    stride = 1
-    for k, n in enumerate(surv):
-        rows += digits[k] * stride
-        stride *= dims[n]
-    return rows
-
-
 def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     """Mode-`mode` unfolding as a fresh (J, I_mode) matrix; `t` is left unchanged."""
     _check_mode(t.dims, mode)

@@ -6,6 +6,7 @@ import pytest
 
 from fibercpd.cli import RunConfig, cli_main, config_from_json
 from fibercpd.experiments import SyntheticSpec, generate_synthetic
+from fibercpd.solvers import Adagrad, Diminishing, LocallyOptimal
 from fibercpd.storage import read_factors, read_run_csv, read_tensor, write_tensor
 from fibercpd.tensor import DenseTensor, reconstruct
 
@@ -169,7 +170,8 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="not found"):
         RunConfig(solvers=("als",), rank=2, input="/no/such/file.dten").validate()
     with pytest.raises(ValueError, match="cond"):
-        RunConfig(solvers=("ascpd",), rank=2, dims=(4, 4, 4), block=(4,), cond=1.0).validate()
+        RunConfig(solvers=("ascpd",), rank=2, dims=(4, 4, 4), block=(4,),
+                  hyperparameters={"cond": 1.0}).validate()
     with pytest.raises(ValueError, match="trials"):
         RunConfig(solvers=("als",), rank=2, dims=(4, 4, 4), trials=0).validate()
 
@@ -178,3 +180,47 @@ def test_config_from_json_single_solver_string():
     rc = config_from_json({"solver": "als", "rank": 3, "dims": [4, 4, 4]})
     assert rc.solvers == ("als",)
     assert rc.rank == 3
+
+
+@pytest.mark.parametrize("kind, name, bad", [
+    (LocallyOptimal, "cond", 1.0),
+    (Diminishing, "alpha", -0.1),
+    (Adagrad, "eta", 0.0),
+    (Adagrad, "b", -1e-3),
+    (Adagrad, "eps", -1e-3),
+])
+def test_out_of_range_hyperparameter_rejected_everywhere(tmp_path, capsys, kind, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        kind(**{name: bad})
+    tensor = tmp_path / "x.dten"
+    assert cli_main(["synth", "--dims", "4,4,4", "--rank", "2", "--out", str(tensor)]) == 0
+    # ALS takes no schedule, yet every given hyperparameter is checked
+    code = cli_main(["decompose", "--in", str(tensor), "--solver", "als", "--rank", "2",
+                     "--max-full-iters", "1", "--" + name.replace("_", "-"), str(bad),
+                     "--csv", str(tmp_path / "o.csv")])
+    assert code != 0
+    assert f"error: {name} must" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solvers": ["als"], "rank": 2, "dims": [4, 4, 4],
+                                    "max_full_iters": 1, name: bad,
+                                    "out_dir": str(tmp_path / "bench")}))
+    assert cli_main(["bench", "--config", str(cfg_path)]) != 0
+    assert f"error: {name} must" in capsys.readouterr().err
+
+
+def test_zero_alpha_and_b_accepted(tmp_path):
+    # the bounds are alpha >= 0 and b >= 0, as in the schedule dataclasses
+    tensor = tmp_path / "x.dten"
+    assert cli_main(["synth", "--dims", "4,4,4", "--rank", "2", "--out", str(tensor)]) == 0
+    for solver, flag in (("brascpd", "--alpha"), ("adacpd", "--b")):
+        csv_path = tmp_path / f"{solver}.csv"
+        assert cli_main(["decompose", "--in", str(tensor), "--solver", solver, "--rank", "2",
+                         "--block", "4", "--max-full-iters", "1", flag, "0",
+                         "--csv", str(csv_path)]) == 0
+        echo, _ = read_run_csv(csv_path)
+        assert echo[flag[2:]] == "0.0"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solvers": ["brascpd", "adacpd"], "rank": 2,
+                                    "dims": [4, 4, 4], "block": 4, "max_full_iters": 1,
+                                    "alpha": 0, "b": 0, "out_dir": str(tmp_path / "bench")}))
+    assert cli_main(["bench", "--config", str(cfg_path)]) == 0

@@ -7,14 +7,12 @@ from fibercpd.experiments import (
     Checkpoint,
     RunRecord,
     SyntheticSpec,
-    WorkAccountant,
     average_records,
     full_iteration_cost,
     generate_synthetic,
     metric,
     run,
     run_trials,
-    stochastic_iters_per_full,
 )
 from fibercpd.solvers import SolverConfig
 from fibercpd.tensor import DenseTensor, frob_norm, objective, reconstruct
@@ -103,43 +101,6 @@ def test_metric_zero_tensor_rejected():
     _, truth, _ = generate_synthetic(SyntheticSpec((2, 2), 1, seed=8))
     with pytest.raises(ValueError):
         metric(t, truth)
-
-
-# ---------------------------------------------------------------------------
-# work accounting
-# ---------------------------------------------------------------------------
-
-
-def test_iters_per_full_200_cube():
-    assert stochastic_iters_per_full((200, 200, 200), 500) == 320
-
-
-def test_iters_per_full_one_when_block_covers_cost():
-    # B * I = 4 * prod(dims): dims (2,2,2), I=2 -> B = 16, but J is only 4,
-    # so use a flat case instead: dims (8, 2), J0 = 2 -> clamp matters.
-    dims = (4, 4)
-    # full cost = 64; B=8 clamps to J=4 on both modes -> 16 entries per iter -> s=4
-    assert stochastic_iters_per_full(dims, 8) == 4
-    # exact cover: per-iter mean = 4*prod -> s = 1
-    dims = (2, 2, 2)
-    cost = full_iteration_cost(dims)
-    # J = 4 per mode, B = 4 -> entries per iter = 8; cost = 32 -> s = 4
-    assert stochastic_iters_per_full(dims, 4) == cost // 8
-
-
-def test_iters_per_full_halves_when_block_doubles():
-    s1 = stochastic_iters_per_full((30, 30, 30), 5)
-    s2 = stochastic_iters_per_full((30, 30, 30), 10)
-    assert s2 == round(s1 / 2) or abs(s2 * 2 - s1) <= 1
-
-
-def test_work_accountant_crossings():
-    acct = WorkAccountant(100)
-    assert acct.update(50) is None
-    assert acct.update(100) == 1
-    assert acct.update(150) is None
-    assert acct.update(320) == 3  # skips are allowed; index stays increasing
-    assert acct.update(320) is None
 
 
 # ---------------------------------------------------------------------------
@@ -261,4 +222,23 @@ def test_average_records_aligns_on_index():
     avg = average_records([rec_a, rec_b])
     assert [c.full_iter for c in avg.checkpoints] == [0, 1]
     assert avg.checkpoints[0].m == pytest.approx(0.9)
-    assert avg.checkpoints[1].m == 0.5
+    assert avg.checkpoints[1].m == pytest.approx(0.65)   # rec_b stopped at 0.8
+
+
+def test_average_records_carries_stopped_trials_forward():
+    # trials that stopped at their tolerance after 0, 1 and 2 full iterations
+    recs = [
+        RunRecord("ascpd", 0, 0, {}, [Checkpoint(0, 0, 0.9, 0.0)]),
+        RunRecord("ascpd", 1, 1, {}, [Checkpoint(0, 0, 1.0, 0.0),
+                                      Checkpoint(1, 12, 0.4, 1.0)]),
+        RunRecord("ascpd", 2, 2, {}, [Checkpoint(0, 0, 0.8, 0.0),
+                                      Checkpoint(1, 10, 0.6, 2.0),
+                                      Checkpoint(2, 21, 0.3, 4.0)]),
+    ]
+    avg = average_records(recs)
+    assert [c.full_iter for c in avg.checkpoints] == [0, 1, 2]
+    assert [c.m for c in avg.checkpoints] == pytest.approx([0.9, (0.9 + 0.4 + 0.6) / 3,
+                                                            (0.9 + 0.4 + 0.3) / 3])
+    # work and time average only the trials that reached the index
+    assert [c.work_units for c in avg.checkpoints] == [0, 11, 21]
+    assert [c.wall_seconds for c in avg.checkpoints] == pytest.approx([0.0, 1.5, 4.0])

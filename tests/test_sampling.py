@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from fibercpd.sampling import (
     FiberSampler,
-    SamplerConfig,
-    fiber_to_multi_index,
-    multi_index_to_fiber,
     pick_mode,
     sample_fibers,
     sample_without_replacement,
 )
-from fibercpd.tensor import row_count
 
 
 def test_pick_mode_single_mode():
@@ -90,28 +86,6 @@ def test_sample_without_replacement_uniform_marginals():
     assert np.all(np.abs(counts - p * draws) <= 3 * sigma)
 
 
-def test_fiber_to_multi_index_known():
-    # dims (2,2,2), mode 0, row 3 -> indices (1,1) of modes 1 and 2 (0-based)
-    assert fiber_to_multi_index((2, 2, 2), 0, 3) == (1, 1)
-
-
-def test_fiber_to_multi_index_row_zero():
-    assert fiber_to_multi_index((3, 4, 5), 1, 0) == (0, 0)
-
-
-def test_fiber_multi_index_roundtrip_all_modes():
-    dims = (3, 4, 5)
-    for mode in range(3):
-        for j in range(row_count(dims, mode)):
-            multi = fiber_to_multi_index(dims, mode, j)
-            assert multi_index_to_fiber(dims, mode, multi) == j
-
-
-def test_fiber_to_multi_index_out_of_range():
-    with pytest.raises(ValueError):
-        fiber_to_multi_index((2, 2), 0, 2)
-
-
 def test_sampler_sequence_is_pure_function_of_seed():
     def trace(seed):
         sampler = FiberSampler((4, 5, 6), (3, 3, 3), seed=seed)
@@ -121,25 +95,13 @@ def test_sampler_sequence_is_pure_function_of_seed():
     assert trace(9) != trace(10)
 
 
-def test_sampler_round_robin_cycles_modes():
-    sampler = FiberSampler((4, 5, 6), 2, seed=0, round_robin_modes=True)
-    modes = [sampler.draw().mode for _ in range(6)]
-    assert modes == [0, 1, 2, 0, 1, 2]
-
-
-def test_sampler_draw_ids_increment():
-    sampler = FiberSampler((4, 5, 6), 2, seed=0)
-    ids = [sampler.draw().draw_id for _ in range(5)]
-    assert ids == [0, 1, 2, 3, 4]
-
-
 def test_sampler_blocksize_broadcast_and_validation():
     sampler = FiberSampler((4, 5, 6), 7, seed=0)
-    assert sampler.config.blocksizes == (7, 7, 7)
+    assert sampler.blocksizes == (7, 7, 7)
     with pytest.raises(ValueError):
         FiberSampler((4, 5), (1, 2, 3), seed=0)
 
 
 def test_sampler_config_rejects_bad_blocksize():
-    with pytest.raises(ValueError):
-        SamplerConfig((0, 2), seed=1)
+    with pytest.raises(ValueError, match="blocksizes"):
+        FiberSampler((4, 5), (0, 2), seed=1)

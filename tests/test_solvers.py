@@ -524,7 +524,7 @@ def test_solver_config_validation():
         SolverConfig(solver="ascpd", rank=2, tol=-1.0)
     cfg = SolverConfig(solver="ascpd", rank=2, blocksizes=5)
     assert cfg.blocks_for(3) == (5, 5, 5)
-    assert isinstance(cfg.resolved_schedule(), LocallyOptimal)
+    assert cfg.schedule == LocallyOptimal()
 
 
 def test_schedule_validation():
