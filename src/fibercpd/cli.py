@@ -6,7 +6,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import numpy as np
 from .constraints import CONSTRAINT_KINDS
 from .experiments import (
     SyntheticSpec,
+    config_echo,
     generate_synthetic,
     run,
     run_trials,
@@ -36,86 +37,41 @@ SCHEDULE_KINDS = tuple(dict.fromkeys(SCHEDULES.values()))
 HYPERPARAMETERS = tuple(f.name for kind in SCHEDULE_KINDS for f in fields(kind))
 
 
-def schedule_from(kind, hyperparameters: dict):
-    """A `kind` schedule from the given hyperparameters among its fields; defaults elsewhere."""
-    return kind(**{f.name: hyperparameters[f.name] for f in fields(kind)
-                   if f.name in hyperparameters})
+def solver_configs(solvers, given: dict) -> list[SolverConfig]:
+    """One validated SolverConfig per solver from the run settings the user gave
+    (flag dests or bench keys); a setting not given takes SolverConfig's default."""
+    if not solvers:
+        raise ValueError("at least one solver is required")
+    if "rank" not in given:
+        raise ValueError("rank is required")
+    # each schedule from the given values of its fields, so that every given
+    # hyperparameter is checked, whichever solvers run
+    schedules = {kind: kind(**{f.name: given[f.name] for f in fields(kind) if f.name in given})
+                 for kind in SCHEDULE_KINDS}
+    if "block" not in given and any(s in SCHEDULES for s in solvers):
+        raise ValueError("--block is required for stochastic solvers")
+    settings = {f.name: given[f.name] for f in fields(SolverConfig)
+                if f.name in given and f.name != "solver"}
+    if "block" in given:
+        settings["blocksizes"] = given["block"]
+    return [SolverConfig(solver=s, schedule=schedules[SCHEDULES[s]] if s in SCHEDULES else None,
+                         **settings) for s in solvers]
 
 
-@dataclass
-class RunConfig:
-    """Validated description of a decompose/bench invocation."""
-
-    solvers: tuple[str, ...]
-    rank: int
-    dims: tuple[int, ...] | None = None
-    input: str | None = None
-    constraint: str = "none"
-    block: tuple[int, ...] | None = None
-    hyperparameters: dict = field(default_factory=dict)   # given schedule fields by name
-    snr_db: float | None = None
-    seed: int = 0
-    trials: int = 1
-    max_full_iters: int = 100
-    tol: float | None = None
-    out: str = ""
-
-    def validate(self) -> None:
-        if not self.solvers:
-            raise ValueError("at least one solver is required")
-        for s in self.solvers:
-            if s not in SOLVERS:
-                raise ValueError(f"unknown solver {s!r}; choose from {SOLVERS}")
-        if (self.dims is None) == (self.input is None):
-            raise ValueError("exactly one of dims or an input tensor path is required")
-        if self.input is not None and not Path(self.input).is_file():
-            raise ValueError(f"input tensor not found: {self.input}")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.constraint not in CONSTRAINT_KINDS:
-            raise ValueError(f"unknown constraint {self.constraint!r}")
-        if any(s in SCHEDULES for s in self.solvers):
-            if self.block is None:
-                raise ValueError("--block is required for stochastic solvers")
-            if any(b < 1 for b in self.block):
-                raise ValueError("blocksizes must be >= 1")
-        for kind in SCHEDULE_KINDS:    # every given value, whichever solvers run
-            schedule_from(kind, self.hyperparameters)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.max_full_iters < 0:
-            raise ValueError("max-full-iters must be >= 0")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.snr_db is not None and self.dims is None:
-            raise ValueError("snr applies only to synthetic dims")
-
-    def solver_config(self, solver: str) -> SolverConfig:
-        return SolverConfig(
-            solver=solver,
-            rank=self.rank,
-            constraint=self.constraint,
-            blocksizes=self.block if self.block is not None else 1,
-            schedule=schedule_from(SCHEDULES[solver], self.hyperparameters)
-            if solver in SCHEDULES else None,
-            seed=self.seed,
-            max_full_iters=self.max_full_iters,
-            tol=self.tol,
-        )
-
-    def data(self):
-        """The tensor to decompose: a file-backed DenseTensor or a SyntheticSpec."""
-        if self.input is not None:
-            return read_tensor(self.input)
-        return SyntheticSpec(self.dims, self.rank, snr_db=self.snr_db, seed=self.seed)
-
-    def echo_extra(self) -> dict:
-        extra = {}
-        if self.input is not None:
-            extra["input"] = self.input
-        if self.snr_db is not None:
-            extra["snr_db"] = self.snr_db
-        return extra
+def resolve_data(given: dict, cfg: SolverConfig):
+    """The tensor to decompose, a SyntheticSpec seeded like the solver or the tensor
+    read from `input`, and the CSV echo extras that describe it."""
+    dims, path, snr_db = given.get("dims"), given.get("input"), given.get("snr_db")
+    if (dims is None) == (path is None):
+        raise ValueError("exactly one of dims or an input tensor path is required")
+    if path is None:
+        spec = SyntheticSpec(dims, cfg.rank, snr_db=snr_db, seed=cfg.seed)
+        return spec, {} if snr_db is None else {"snr_db": snr_db}
+    if snr_db is not None:
+        raise ValueError("snr applies only to synthetic dims")
+    if not Path(path).is_file():
+        raise ValueError(f"input tensor not found: {path}")
+    return read_tensor(path), {"input": path}
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -161,10 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
         for f in fields(kind):
             p.add_argument("--" + f.name.replace("_", "-"), type=float, default=None,
                            help=f"{users} {kind.__name__} {f.name} (default {f.default})")
-    p.add_argument("--constraint", choices=CONSTRAINT_KINDS, default="none")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-full-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=None)
+    # unset flags stay None, so SolverConfig's default applies; --help shows it
+    default = {f.name: f.default for f in fields(SolverConfig)}
+    p.add_argument("--constraint", choices=CONSTRAINT_KINDS,
+                   help=f"(default {default['constraint']})")
+    p.add_argument("--seed", type=int, help=f"(default {default['seed']})")
+    p.add_argument("--max-full-iters", type=int, help=f"(default {default['max_full_iters']})")
+    p.add_argument("--tol", type=float, help=f"stop once m_k <= tol (default {default['tol']})")
     p.add_argument("--csv", required=True, help="output CSV path")
     p.set_defaults(func=cmd_decompose)
 
@@ -186,8 +145,9 @@ def cmd_synth(args) -> int:
     spec = SyntheticSpec(args.dims, args.rank, snr_db=args.snr, seed=args.seed)
     noisy, truth, sigma = generate_synthetic(spec)
     out = Path(args.out)
+    truth_path = Path(str(out) + ".truth.dfac")
     write_tensor(noisy, out)
-    write_factors(truth, _truth_path(out))
+    write_factors(truth, truth_path)
     meta = {
         "dims": list(spec.dims),
         "rank": spec.rank,
@@ -198,102 +158,87 @@ def cmd_synth(args) -> int:
     }
     Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n",
                                              encoding="utf-8")
-    print(f"wrote {out} ({noisy.values.size} values), truth factors in {_truth_path(out)}")
+    print(f"wrote {out} ({noisy.values.size} values), truth factors in {truth_path}")
     return 0
 
 
-def _truth_path(out: Path) -> Path:
-    return Path(str(out) + ".truth.dfac")
-
-
 def cmd_decompose(args) -> int:
-    rc = RunConfig(
-        solvers=(args.solver,),
-        rank=args.rank,
-        input=args.input,
-        constraint=args.constraint,
-        block=args.block,
-        hyperparameters={name: getattr(args, name) for name in HYPERPARAMETERS
-                         if getattr(args, name) is not None},
-        seed=args.seed,
-        trials=1,
-        max_full_iters=args.max_full_iters,
-        tol=args.tol,
-        out=args.csv,
-    )
-    rc.validate()
-    tensor = rc.data()
-    record = run(tensor, rc.solver_config(args.solver), trial=0,
-                 echo_extra=rc.echo_extra())
-    write_run_csv(rc.out, [record])
-    print(f"wrote {rc.out}: final m_k = {record.final_metric:.6g} "
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    [cfg] = solver_configs([args.solver], given)
+    tensor, extra = resolve_data(given, cfg)
+    record = run(tensor, cfg, trial=0, echo_extra=extra)
+    write_run_csv(args.csv, [record])
+    print(f"wrote {args.csv}: final m_k = {record.final_metric:.6g} "
           f"after {record.checkpoints[-1].full_iter} full iterations")
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg_path = Path(args.config)
-    if not cfg_path.is_file():
-        raise ValueError(f"config not found: {cfg_path}")
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ints(value) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(map(_int, value))
+
+
+# what each bench key takes, as a flag's argparse `type` does; numbers are read
+# as floats, and null leaves a NULLABLE key (one whose absence means None) unset
+BENCH_KEYS = {
+    "solvers": ("a list of solver names",
+                lambda v: isinstance(v, (str, list)) and all(isinstance(s, str) for s in v)),
+    "dims": ("a list of integers", _ints),
+    "block": ("an integer or a list of integers", lambda v: _int(v) or _ints(v)),
+    "trials": ("an integer >= 1", lambda v: _int(v) and v >= 1),
+    **dict.fromkeys(("rank", "seed", "max_full_iters"), ("an integer", _int)),
+    **dict.fromkeys(("snr_db", "tol", *HYPERPARAMETERS),
+                    ("a number", lambda v: _int(v) or isinstance(v, float))),
+    **dict.fromkeys(("solver", "input", "constraint", "out_dir"),
+                    ("a string", lambda v: isinstance(v, str))),
+}
+NULLABLE = {"dims", "input", "block", "snr_db", "tol", *HYPERPARAMETERS}
+
+
+def read_bench_config(path: Path) -> dict:
+    """The settings a bench JSON config gives, each checked against its key."""
     try:
-        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"bad JSON in {cfg_path}: {exc}") from exc
-    rc = config_from_json(raw)
-    rc.validate()
-    out_dir = Path(rc.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data = rc.data()
-    averaged: dict = {}
-    for solver in rc.solvers:
-        avg, records = run_trials(data, rc.solver_config(solver), trials=rc.trials,
-                                  echo_extra=rc.echo_extra())
-        write_run_csv(out_dir / f"{solver}.csv", records)
-        averaged[solver] = avg
-        print(f"{solver}: averaged final m_k = {avg.final_metric:.6g} over {rc.trials} trials")
-    echo = dict(next(iter(averaged.values())).config)
-    echo["solver"] = ",".join(rc.solvers)
-    write_average_csv(out_dir / "average.csv", averaged, config_echo=echo)
-    print(f"wrote {out_dir}/<solver>.csv and {out_dir}/average.csv")
-    return 0
-
-
-_JSON_KEYS = {"solvers", "solver", "dims", "input", "rank", "constraint", "block",
-              "snr_db", "seed", "trials", "max_full_iters", "tol", "out_dir",
-              *HYPERPARAMETERS}
-
-
-def config_from_json(raw: dict) -> RunConfig:
-    unknown = set(raw) - _JSON_KEYS
+        raise ValueError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: the config must be a JSON object")
+    unknown = set(raw) - set(BENCH_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    solvers = raw.get("solvers", raw.get("solver"))
-    if isinstance(solvers, str):
-        solvers = [solvers]
-    if not solvers:
-        raise ValueError("config needs a 'solvers' list")
-    block = raw.get("block")
-    if isinstance(block, int):
-        block = (block,)
-    elif block is not None:
-        block = tuple(int(b) for b in block)
-    dims = raw.get("dims")
-    return RunConfig(
-        solvers=tuple(solvers),
-        rank=int(raw.get("rank", 0)),
-        dims=tuple(int(d) for d in dims) if dims is not None else None,
-        input=raw.get("input"),
-        constraint=raw.get("constraint", "none"),
-        block=block,
-        hyperparameters={name: float(raw[name]) for name in HYPERPARAMETERS
-                         if raw.get(name) is not None},
-        snr_db=None if raw.get("snr_db") is None else float(raw["snr_db"]),
-        seed=int(raw.get("seed", 0)),
-        trials=int(raw.get("trials", 1)),
-        max_full_iters=int(raw.get("max_full_iters", 100)),
-        tol=None if raw.get("tol") is None else float(raw["tol"]),
-        out=str(raw.get("out_dir", "bench_out")),
-    )
+    given = {}
+    for key, value in raw.items():
+        what, valid = BENCH_KEYS[key]
+        if value is None and key in NULLABLE:
+            continue
+        if not valid(value):
+            raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
+        given[key] = (float(value) if what == "a number"
+                      else tuple(value) if isinstance(value, list) else value)
+    return given
+
+
+def cmd_bench(args) -> int:
+    given = read_bench_config(Path(args.config))
+    solvers = given.get("solvers", given.get("solver", ()))
+    configs = solver_configs((solvers,) if isinstance(solvers, str) else solvers, given)
+    data, extra = resolve_data(given, configs[0])
+    trials = given.get("trials", 1)
+    out_dir = Path(given.get("out_dir", "bench_out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    averaged: dict = {}
+    for cfg in configs:
+        avg, records = run_trials(data, cfg, trials, echo_extra=extra)
+        write_run_csv(out_dir / f"{cfg.solver}.csv", records)
+        averaged[cfg.solver] = avg
+        print(f"{cfg.solver}: averaged final m_k = {avg.final_metric:.6g} over {trials} trials")
+    write_average_csv(out_dir / "average.csv", averaged,
+                      config_echo=config_echo(configs, data.dims, {**extra, "trials": trials}))
+    print(f"wrote {out_dir}/<solver>.csv and {out_dir}/average.csv")
+    return 0
 
 
 def cmd_convert(args) -> int:

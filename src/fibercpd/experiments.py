@@ -131,20 +131,22 @@ class RunRecord:
     def final_metric(self) -> float:
         return self.checkpoints[-1].m
 
-    def metrics(self) -> np.ndarray:
-        return np.array([c.m for c in self.checkpoints])
 
-
-def _config_echo(cfg: SolverConfig, dims, extra: dict | None = None) -> dict:
+def config_echo(cfgs: list[SolverConfig], dims, extra: dict | None = None) -> dict:
+    """The CSV config echo of one or more configs that differ at most in solver and
+    schedule (bench's average.csv): the solvers joined by commas, then every
+    schedule field once, in solver order."""
+    cfg = cfgs[0]
     echo = {
-        "solver": cfg.solver,
+        "solver": ",".join(c.solver for c in cfgs),
         "dims": ",".join(str(d) for d in dims),
         "rank": cfg.rank,
         "constraint": cfg.constraint,
         "block": ",".join(str(b) for b in cfg.blocks_for(len(dims))),
     }
-    if cfg.schedule is not None:
-        echo.update(asdict(cfg.schedule))
+    for c in cfgs:
+        if c.schedule is not None:
+            echo.update(asdict(c.schedule))
     echo.update({
         "seed": cfg.seed,
         "max_full_iters": cfg.max_full_iters,
@@ -173,7 +175,7 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
     m0 = metric(t, state.model, norm_sq)
     checkpoints = [Checkpoint(0, 0, m0, 0.0)]
     record = RunRecord(solver=cfg.solver, seed=cfg.seed, trial=trial,
-                       config=_config_echo(cfg, t.dims, echo_extra),
+                       config=config_echo([cfg], t.dims, echo_extra),
                        checkpoints=checkpoints)
     if cfg.max_full_iters == 0 or (cfg.tol is not None and m0 <= cfg.tol):
         return record
@@ -207,7 +209,7 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
             return record
 
 
-def run_trials(data, cfg: SolverConfig, trials: int = 10,
+def run_trials(data, cfg: SolverConfig, trials: int,
                echo_extra: dict | None = None) -> tuple[RunRecord, list[RunRecord]]:
     """Monte-Carlo trials: trial k is seeded cfg.seed + k.
 

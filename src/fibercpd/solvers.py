@@ -213,15 +213,6 @@ def sampled_gradient(t: DenseTensor, model: KruskalModel, sample: FiberSample,
     return grad, gram
 
 
-def full_gradient(t: DenseTensor, model: KruskalModel, mode: int,
-                  at: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the halved full objective w.r.t. factor `mode`: A K^T K - X^(mode)T K."""
-    if at is None:
-        at = model.factors[mode]
-    gram = hadamard_gram(model, skip=mode)
-    return np.asarray(at, dtype=np.float64) @ gram - mttkrp(t, model, mode)
-
-
 def hadamard_gram(model: KruskalModel, skip: int | None = None) -> np.ndarray:
     """K^T K for the Khatri-Rao product of every factor but `skip` (None: all of
     them), as the Hadamard product of factor Grams."""
@@ -409,6 +400,10 @@ class SolverConfig:
             raise ValueError("max_full_iters must be >= 0")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive when given")
+        Constraint(self.constraint)                   # raises on an unknown kind
+        blocks = (self.blocksizes,) if isinstance(self.blocksizes, int) else self.blocksizes
+        if any(b < 1 for b in blocks):
+            raise ValueError("blocksizes must be >= 1")
         kind = SCHEDULES.get(self.solver)
         if kind is None:
             return

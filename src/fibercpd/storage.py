@@ -125,10 +125,9 @@ def echo_lines(config: dict) -> list[str]:
     return [f"# {key}={_fmt(value)}" for key, value in config.items()]
 
 
-def write_run_csv(path, records: list[RunRecord], config_echo: dict | None = None) -> None:
-    """Per-trial trace CSV; rows sorted by (trial, full_iter)."""
-    echo = config_echo if config_echo is not None else (records[0].config if records else {})
-    lines = echo_lines(echo)
+def write_run_csv(path, records: list[RunRecord]) -> None:
+    """Per-trial trace CSV, echoing the first record's config; rows sorted by (trial, full_iter)."""
+    lines = echo_lines(records[0].config if records else {})
     lines.append(",".join(CSV_COLUMNS))
     for rec in sorted(records, key=lambda r: r.trial):
         for cp in rec.checkpoints:

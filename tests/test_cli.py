@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fibercpd.cli import RunConfig, cli_main, config_from_json
+from fibercpd.cli import cli_main
 from fibercpd.experiments import SyntheticSpec, generate_synthetic
-from fibercpd.solvers import Adagrad, Diminishing, LocallyOptimal
+from fibercpd.solvers import Adagrad, Diminishing, LocallyOptimal, SolverConfig
 from fibercpd.storage import read_factors, read_run_csv, read_tensor, write_tensor
 from fibercpd.tensor import DenseTensor, reconstruct
 
@@ -160,26 +161,71 @@ def test_unknown_subcommand():
     assert cli_main(["frobnicate"]) != 0
 
 
-def test_run_config_validation():
-    rc = RunConfig(solvers=("ascpd",), rank=2, dims=(4, 4, 4), block=(4,))
-    rc.validate()
-    with pytest.raises(ValueError, match="solver"):
-        RunConfig(solvers=("nope",), rank=2, dims=(4, 4, 4), block=(4,)).validate()
-    with pytest.raises(ValueError, match="dims or an input"):
-        RunConfig(solvers=("als",), rank=2).validate()
-    with pytest.raises(ValueError, match="not found"):
-        RunConfig(solvers=("als",), rank=2, input="/no/such/file.dten").validate()
-    with pytest.raises(ValueError, match="cond"):
-        RunConfig(solvers=("ascpd",), rank=2, dims=(4, 4, 4), block=(4,),
-                  hyperparameters={"cond": 1.0}).validate()
-    with pytest.raises(ValueError, match="trials"):
-        RunConfig(solvers=("als",), rank=2, dims=(4, 4, 4), trials=0).validate()
+def run_bench(tmp_path, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return cli_main(["bench", "--config", str(cfg_path)])
 
 
-def test_config_from_json_single_solver_string():
-    rc = config_from_json({"solver": "als", "rank": 3, "dims": [4, 4, 4]})
-    assert rc.solvers == ("als",)
-    assert rc.rank == 3
+def test_run_settings_validation(tmp_path, capsys):
+    base = {"solvers": ["ascpd"], "rank": 2, "dims": [4, 4, 4], "block": 4,
+            "max_full_iters": 1, "out_dir": str(tmp_path / "bench")}
+    assert run_bench(tmp_path, base) == 0
+    capsys.readouterr()
+    for change, message in [
+        ({"solvers": ["nope"]}, "unknown solver 'nope'"),
+        ({"dims": None}, "exactly one of dims or an input tensor path"),
+        ({"dims": None, "input": str(tmp_path / "missing.dten")}, "input tensor not found"),
+        ({"cond": 1.0}, "cond must be > 1"),
+        ({"trials": 0}, "trials must be an integer >= 1"),
+    ]:
+        assert run_bench(tmp_path, {**base, **change}) == 1, change
+        assert f"error: {message}" in capsys.readouterr().err
+    assert run_bench(tmp_path, {k: v for k, v in base.items() if k != "rank"}) == 1
+    assert "error: rank is required" in capsys.readouterr().err
+
+
+def test_bench_single_solver_string(tmp_path):
+    assert run_bench(tmp_path, {"solver": "als", "rank": 3, "dims": [4, 4, 4],
+                                "max_full_iters": 1, "out_dir": str(tmp_path / "b")}) == 0
+    echo, _ = read_run_csv(tmp_path / "b" / "als.csv")
+    assert echo["solver"] == "als" and echo["rank"] == "3"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"dims": 5}, "error: dims must be a list of integers, got 5"),
+    ({"seed": None}, "error: seed must be an integer, got null"),
+    ({"block": 2.5}, "error: block must be an integer or a list of integers, got 2.5"),
+    ({"rank": [2]}, "error: rank must be an integer, got [2]"),
+    ({"trials": None}, "error: trials must be an integer >= 1, got null"),
+    ({"cond": "50"}, 'error: cond must be a number, got "50"'),
+    ({"solvers": ["ascpd", 1]}, 'error: solvers must be a list of solver names'),
+    ({"block": 0}, "error: blocksizes must be >= 1"),
+    ({"constraint": "box"}, "error: unknown constraint kind 'box'"),
+    ([1, 2], "error: <cfg>: the config must be a JSON object"),
+])
+def test_bench_rejects_malformed_config(tmp_path, capsys, config, message):
+    if isinstance(config, dict):
+        config = {"solvers": ["ascpd"], "rank": 2, "dims": [4, 4, 4], "block": 4,
+                  "max_full_iters": 1, "out_dir": str(tmp_path / "bench"), **config}
+    assert run_bench(tmp_path, config) == 1
+    err = capsys.readouterr().err.replace(str(tmp_path / "cfg.json"), "<cfg>")
+    assert message in err
+    assert not (tmp_path / "bench").exists()
+
+
+def test_decompose_echoes_solver_config_defaults(tmp_path):
+    tensor = tmp_path / "x.dten"
+    assert cli_main(["synth", "--dims", "4,4,4", "--rank", "2", "--out", str(tensor)]) == 0
+    csv_path = tmp_path / "als.csv"
+    assert cli_main(["decompose", "--in", str(tensor), "--solver", "als", "--rank", "2",
+                     "--csv", str(csv_path)]) == 0
+    echo, rows = read_run_csv(csv_path)
+    default = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    for name in ("seed", "constraint", "max_full_iters"):
+        assert echo[name] == str(default[name])
+    assert echo["tol"] == ""
+    assert int(rows[-1]["full_iter"]) == default["max_full_iters"]
 
 
 @pytest.mark.parametrize("kind, name, bad", [

@@ -73,8 +73,10 @@ GOLDEN = {
         "0,2,960,0.10129147625093915",
         "0,3,1440,0.09266208614334502",
     ]),
-    # average.csv echoes the first solver's configuration under the joined solver list
-    "bench/average.csv": (_bench_echo("ascpd,spg,brascpd,adacpd,als", "# cond=50.0"), [
+    # average.csv echoes the joined solver list and every schedule field once
+    "bench/average.csv": (_bench_echo("ascpd,spg,brascpd,adacpd,als", "# cond=50.0",
+                                      "# alpha=0.1", "# beta_exp=0.5", "# eta=1.0",
+                                      "# b=1e-06", "# eps=0.0001"), [
         "adacpd,0,0,0.9746859226949052",
         "adacpd,1,246,0.6299880108239877",
         "adacpd,2,488,0.5693473471516011",

@@ -19,7 +19,6 @@ from fibercpd.solvers import (
     ascpd_iteration,
     brascpd_iteration,
     eigen_extremes,
-    full_gradient,
     hadamard_gram,
     init_state,
     lambda_rule,
@@ -39,6 +38,11 @@ from fibercpd.tensor import (
 
 UNCON = per_mode("none", 3)
 NONNEG = per_mode("nonneg", 3)
+
+
+def full_gradient(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
+    """Gradient of the halved full objective w.r.t. factor `mode`: A K^T K - X^(mode)T K."""
+    return model.factors[mode] @ hadamard_gram(model, skip=mode) - mttkrp(t, model, mode)
 
 
 def random_problem(seed, dims=(4, 3, 2), rank=2, noisy=True):
@@ -522,6 +526,12 @@ def test_solver_config_validation():
         SolverConfig(solver="ascpd", rank=2, schedule=Adagrad())
     with pytest.raises(ValueError):
         SolverConfig(solver="ascpd", rank=2, tol=-1.0)
+    with pytest.raises(ValueError, match="blocksizes"):
+        SolverConfig(solver="ascpd", rank=2, blocksizes=0)
+    with pytest.raises(ValueError, match="blocksizes"):
+        SolverConfig(solver="als", rank=2, blocksizes=(4, 0, 4))
+    with pytest.raises(ValueError, match="constraint"):
+        SolverConfig(solver="ascpd", rank=2, constraint="box")
     cfg = SolverConfig(solver="ascpd", rank=2, blocksizes=5)
     assert cfg.blocks_for(3) == (5, 5, 5)
     assert cfg.schedule == LocallyOptimal()
