@@ -12,17 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import CONSTRAINT_KINDS
-from .experiments import (
-    SyntheticSpec,
-    config_echo,
-    generate_synthetic,
-    run,
-    run_trials,
-)
+from .experiments import SyntheticSpec, generate_synthetic, run, run_trials
 from .sampling import RNG_ALGORITHM
 from .solvers import SCHEDULES, SOLVERS, SolverConfig
 from .storage import (
     FileFormatError,
+    config_echo,
     read_tensor,
     write_average_csv,
     write_factors,
@@ -42,6 +37,9 @@ def solver_configs(solvers, given: dict) -> list[SolverConfig]:
     (flag dests or bench keys); a setting not given takes SolverConfig's default."""
     if not solvers:
         raise ValueError("at least one solver is required")
+    repeated = next((s for k, s in enumerate(solvers) if s in solvers[:k]), None)
+    if repeated is not None:
+        raise ValueError(f"solver {repeated!r} is listed more than once")
     if "rank" not in given:
         raise ValueError("rank is required")
     # each schedule from the given values of its fields, so that every given
@@ -60,18 +58,22 @@ def solver_configs(solvers, given: dict) -> list[SolverConfig]:
 
 def resolve_data(given: dict, cfg: SolverConfig):
     """The tensor to decompose, a SyntheticSpec seeded like the solver or the tensor
-    read from `input`, and the CSV echo extras that describe it."""
+    read from `input`, and the CSV echo extras that describe it.  The blocksize
+    count is checked against the tensor's order here, before any trial runs."""
     dims, path, snr_db = given.get("dims"), given.get("input"), given.get("snr_db")
     if (dims is None) == (path is None):
         raise ValueError("exactly one of dims or an input tensor path is required")
     if path is None:
+        cfg.blocks_for(len(dims))
         spec = SyntheticSpec(dims, cfg.rank, snr_db=snr_db, seed=cfg.seed)
         return spec, {} if snr_db is None else {"snr_db": snr_db}
     if snr_db is not None:
         raise ValueError("snr applies only to synthetic dims")
     if not Path(path).is_file():
         raise ValueError(f"input tensor not found: {path}")
-    return read_tensor(path), {"input": path}
+    tensor = read_tensor(path)
+    cfg.blocks_for(tensor.order)
+    return tensor, {"input": path}
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -166,8 +168,8 @@ def cmd_decompose(args) -> int:
     given = {key: value for key, value in vars(args).items() if value is not None}
     [cfg] = solver_configs([args.solver], given)
     tensor, extra = resolve_data(given, cfg)
-    record = run(tensor, cfg, trial=0, echo_extra=extra)
-    write_run_csv(args.csv, [record])
+    record = run(tensor, cfg)
+    write_run_csv(args.csv, [record], config_echo([cfg], tensor.dims, extra))
     print(f"wrote {args.csv}: final m_k = {record.final_metric:.6g} "
           f"after {record.checkpoints[-1].full_iter} full iterations")
     return 0
@@ -227,16 +229,17 @@ def cmd_bench(args) -> int:
     configs = solver_configs((solvers,) if isinstance(solvers, str) else solvers, given)
     data, extra = resolve_data(given, configs[0])
     trials = given.get("trials", 1)
+    extra["trials"] = trials
     out_dir = Path(given.get("out_dir", "bench_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     averaged: dict = {}
     for cfg in configs:
-        avg, records = run_trials(data, cfg, trials, echo_extra=extra)
-        write_run_csv(out_dir / f"{cfg.solver}.csv", records)
+        avg, records = run_trials(data, cfg, trials)
+        write_run_csv(out_dir / f"{cfg.solver}.csv", records, config_echo([cfg], data.dims, extra))
         averaged[cfg.solver] = avg
         print(f"{cfg.solver}: averaged final m_k = {avg.final_metric:.6g} over {trials} trials")
     write_average_csv(out_dir / "average.csv", averaged,
-                      config_echo=config_echo(configs, data.dims, {**extra, "trials": trials}))
+                      config_echo=config_echo(configs, data.dims, extra))
     print(f"wrote {out_dir}/<solver>.csv and {out_dir}/average.csv")
     return 0
 

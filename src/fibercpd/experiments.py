@@ -2,25 +2,24 @@
 full-iteration accounting, the single-trial run loop, and Monte-Carlo trials.
 
 Work accounting: every solver charges the tensor entries its (partial) MTTKRPs
-touch.  One full iteration is 4 * prod(dims) entries (the batch baseline's
-per-sweep cost, counting its acceleration bookkeeping), so stochastic and
-batch solvers are compared after the same amount of arithmetic.  A checkpoint
-(metric evaluation) fires each time the running entry count crosses a multiple
-of that unit.
+touch, in units of one full iteration (`solvers.full_iteration_cost`), so
+stochastic and batch solvers are compared after the same amount of
+arithmetic.  A checkpoint (metric evaluation) fires each time the running
+entry count crosses a multiple of that unit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import solvers
 from .constraints import Constraint, per_mode
-from .sampling import RNG_ALGORITHM, FiberSampler
-from .solvers import LocallyOptimal, SolverConfig, hadamard_gram, init_state
+from .sampling import FiberSampler
+from .solvers import SolverConfig, full_iteration_cost, hadamard_gram, init_state
 from .tensor import (
     DenseTensor,
     KruskalModel,
@@ -31,7 +30,6 @@ from .tensor import (
     relative_error,
 )
 
-FULL_ITERATION_MTTKRPS = 4
 # below this residual^2 / ||t||^2 the Gram identity has cancelled too many
 # digits and the metric recomputes the residual from the reconstruction
 EXACT_METRIC_BELOW = 1e-10
@@ -105,10 +103,6 @@ def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
     return math.sqrt(resid_sq) / math.sqrt(norm_sq)
 
 
-def full_iteration_cost(dims) -> int:
-    return FULL_ITERATION_MTTKRPS * math.prod(int(d) for d in dims)
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     full_iter: int
@@ -124,7 +118,6 @@ class RunRecord:
     solver: str
     seed: int
     trial: int | None
-    config: dict
     checkpoints: list[Checkpoint]
 
     @property
@@ -132,34 +125,7 @@ class RunRecord:
         return self.checkpoints[-1].m
 
 
-def config_echo(cfgs: list[SolverConfig], dims, extra: dict | None = None) -> dict:
-    """The CSV config echo of one or more configs that differ at most in solver and
-    schedule (bench's average.csv): the solvers joined by commas, then every
-    schedule field once, in solver order."""
-    cfg = cfgs[0]
-    echo = {
-        "solver": ",".join(c.solver for c in cfgs),
-        "dims": ",".join(str(d) for d in dims),
-        "rank": cfg.rank,
-        "constraint": cfg.constraint,
-        "block": ",".join(str(b) for b in cfg.blocks_for(len(dims))),
-    }
-    for c in cfgs:
-        if c.schedule is not None:
-            echo.update(asdict(c.schedule))
-    echo.update({
-        "seed": cfg.seed,
-        "max_full_iters": cfg.max_full_iters,
-        "tol": "" if cfg.tol is None else cfg.tol,
-        "rng": RNG_ALGORITHM,
-    })
-    if extra:
-        echo.update(extra)
-    return echo
-
-
-def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
-        echo_extra: dict | None = None) -> RunRecord:
+def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0) -> RunRecord:
     """Run one solver trial to its full-iteration budget (or tolerance).
 
     Deterministic given cfg.seed: the solver stream is spawned from the seed
@@ -174,9 +140,7 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
     norm_sq = squared_norm(t)
     m0 = metric(t, state.model, norm_sq)
     checkpoints = [Checkpoint(0, 0, m0, 0.0)]
-    record = RunRecord(solver=cfg.solver, seed=cfg.seed, trial=trial,
-                       config=config_echo([cfg], t.dims, echo_extra),
-                       checkpoints=checkpoints)
+    record = RunRecord(solver=cfg.solver, seed=cfg.seed, trial=trial, checkpoints=checkpoints)
     if cfg.max_full_iters == 0 or (cfg.tol is not None and m0 <= cfg.tol):
         return record
 
@@ -189,12 +153,10 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
             return sweep(state, t, constraints)   # the last MTTKRP, reused by metric
     else:
         iteration = getattr(solvers, f"{cfg.solver}_iteration")
-        sampler = FiberSampler(t.dims, cfg.blocks_for(t.order), rng=rng)
-        # ascpd and spg take the bare condition-number target
-        arg = cfg.schedule.cond if isinstance(cfg.schedule, LocallyOptimal) else cfg.schedule
+        sampler = FiberSampler(t.dims, cfg.blocks_for(t.order), rng)
 
         def step():
-            iteration(state, t, sampler.draw(), constraints, arg)
+            iteration(state, t, sampler.draw(), constraints, cfg.schedule)
 
     index = 0
     while True:
@@ -209,8 +171,7 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0,
             return record
 
 
-def run_trials(data, cfg: SolverConfig, trials: int,
-               echo_extra: dict | None = None) -> tuple[RunRecord, list[RunRecord]]:
+def run_trials(data, cfg: SolverConfig, trials: int) -> tuple[RunRecord, list[RunRecord]]:
     """Monte-Carlo trials: trial k is seeded cfg.seed + k.
 
     `data` is either a fixed DenseTensor (reused by every trial) or a
@@ -219,8 +180,6 @@ def run_trials(data, cfg: SolverConfig, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    extra = dict(echo_extra or {})
-    extra["trials"] = trials
     records = []
     for k in range(trials):
         seed_k = cfg.seed + k
@@ -229,7 +188,7 @@ def run_trials(data, cfg: SolverConfig, trials: int,
         else:
             tensor = data
         try:
-            records.append(run(tensor, replace(cfg, seed=seed_k), trial=k, echo_extra=extra))
+            records.append(run(tensor, replace(cfg, seed=seed_k), trial=k))
         except Exception as exc:
             raise RuntimeError(f"trial {k} (seed {seed_k}) failed: {exc}") from exc
     return average_records(records), records
@@ -264,4 +223,4 @@ def average_records(records: list[RunRecord]) -> RunRecord:
         for idx, cps in sorted(by_index.items())
     ]
     return RunRecord(solver=records[0].solver, seed=records[0].seed, trial=None,
-                     config=dict(records[0].config), checkpoints=checkpoints)
+                     checkpoints=checkpoints)

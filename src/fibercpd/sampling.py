@@ -32,13 +32,6 @@ class FiberSample:
         return int(self.indices.size)
 
 
-def pick_mode(rng: np.random.Generator, n_modes: int) -> int:
-    """Uniform mode index in [0, n_modes)."""
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    return int(rng.integers(n_modes))
-
-
 def sample_without_replacement(rng: np.random.Generator, population: int, k: int) -> np.ndarray:
     """k distinct indices uniform over size-k subsets of range(population).
 
@@ -60,38 +53,33 @@ def sample_without_replacement(rng: np.random.Generator, population: int, k: int
     return out
 
 
-def sample_fibers(rng: np.random.Generator, mode: int, j_count: int, block: int,
-                  *, warn_clamp: bool = True) -> FiberSample:
-    """Draw min(block, j_count) distinct fiber rows, uniformly without replacement."""
-    if block < 1:
-        raise ValueError(f"blocksize must be >= 1, got {block}")
-    if block > j_count and warn_clamp:
-        logger.warning("blocksize %d exceeds the %d mode-%d fibers; clamping", block, j_count, mode)
-    return FiberSample(mode=mode, indices=sample_without_replacement(rng, j_count, block))
-
-
 class FiberSampler:
-    """Stateful per-trial sampler; owns one RNG stream (single-owner, not thread-safe)."""
+    """Per-trial sampler over one RNG stream (single owner, not thread-safe).
 
-    def __init__(self, dims, blocksizes, seed: int = 0, *,
-                 rng: np.random.Generator | None = None):
+    Takes one blocksize per mode (`SolverConfig.blocks_for` broadcasts a
+    single one).  `blocksizes` keeps the rows each mode draws: a blocksize
+    above its mode's fiber count is clamped to that count here, once, with
+    one warning per clamped mode.
+    """
+
+    def __init__(self, dims, blocksizes, rng: np.random.Generator):
         self.dims = tuple(int(d) for d in dims)
-        if isinstance(blocksizes, int):
-            blocksizes = (blocksizes,) * len(self.dims)
-        self.blocksizes = tuple(int(b) for b in blocksizes)
-        if len(self.blocksizes) != len(self.dims):
+        blocks = tuple(int(b) for b in blocksizes)
+        if len(blocks) != len(self.dims):
             raise ValueError("need one blocksize per mode")
-        if any(b < 1 for b in self.blocksizes):
-            raise ValueError(f"blocksizes must be >= 1, got {self.blocksizes}")
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        if any(b < 1 for b in blocks):
+            raise ValueError(f"blocksizes must be >= 1, got {blocks}")
+        self.rng = rng
         self.row_counts = tuple(row_count(self.dims, n) for n in range(len(self.dims)))
-        self._clamp_warned = set()
+        for mode, (block, j_count) in enumerate(zip(blocks, self.row_counts)):
+            if block > j_count:
+                logger.warning("blocksize %d exceeds the %d mode-%d fibers; clamping",
+                               block, j_count, mode)
+        self.blocksizes = tuple(map(min, blocks, self.row_counts))
 
     def draw(self) -> FiberSample:
-        """Pick a mode, then its fiber rows; one fixed-order use of the RNG stream."""
-        mode = pick_mode(self.rng, len(self.dims))
-        block = self.blocksizes[mode]
-        warn = mode not in self._clamp_warned
-        if block > self.row_counts[mode]:
-            self._clamp_warned.add(mode)
-        return sample_fibers(self.rng, mode, self.row_counts[mode], block, warn_clamp=warn)
+        """A uniform mode, then its blocksize of distinct fiber rows, uniformly
+        without replacement: one fixed-order use of the RNG stream."""
+        mode = int(self.rng.integers(len(self.dims)))
+        return FiberSample(mode, sample_without_replacement(self.rng, self.row_counts[mode],
+                                                            self.blocksizes[mode]))

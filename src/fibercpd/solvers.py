@@ -100,8 +100,15 @@ SOLVERS = (*SCHEDULES, "als")
 
 
 # ---------------------------------------------------------------------------
-# state and curvature
+# work, state and curvature
 # ---------------------------------------------------------------------------
+
+def full_iteration_cost(dims) -> int:
+    """The unit of work, one full iteration: 4 * prod(dims) tensor entries, the
+    ALS sweep's cost counting its acceleration bookkeeping.  Every solver
+    charges the entries its (partial) MTTKRPs touch against it."""
+    return 4 * math.prod(int(d) for d in dims)
+
 
 @dataclass
 class SolverState:
@@ -131,7 +138,6 @@ def init_state(rng: np.random.Generator, dims, rank: int, solver: str) -> Solver
 class CurvatureEstimate:
     """Extreme eigenvalues of the sampled Gram matrix and the derived step quantities."""
 
-    gram: np.ndarray
     L: float
     mu: float
     lam: float
@@ -167,14 +173,6 @@ def lambda_rule(L: float, mu: float, cond_target: float) -> float:
     if mu > 0 and L / mu < cond_target:
         return float(mu)
     return float(L / cond_target)
-
-
-def estimate_curvature(gram: np.ndarray, cond_target: float) -> CurvatureEstimate | None:
-    """Curvature of a sampled subproblem, or None when the sample is degenerate (L == 0)."""
-    L, mu = eigen_extremes(gram)
-    if L <= 0.0:
-        return None
-    return CurvatureEstimate(gram=gram, L=L, mu=mu, lam=lambda_rule(L, mu, cond_target))
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +234,21 @@ def _gradient(state: SolverState, t: DenseTensor, sample: FiberSample,
     return grad, gram
 
 
-def _curvature(state: SolverState, gram: np.ndarray, cond_target: float,
+def _curvature(state: SolverState, gram: np.ndarray, schedule: LocallyOptimal,
                mode: int) -> CurvatureEstimate | None:
-    est = estimate_curvature(gram, cond_target)
-    if est is None:
+    """Curvature of the sampled subproblem, or None (with a warning) when the
+    sample is degenerate (L == 0) and the update is skipped."""
+    L, mu = eigen_extremes(gram)
+    if L <= 0.0:
         logger.warning("iteration %d: all-zero sampled rows on mode %d; skipping update",
                        state.iteration, mode)
-    return est
+        return None
+    return CurvatureEstimate(L=L, mu=mu, lam=lambda_rule(L, mu, schedule.cond))
 
 
 def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
-                    constraints: list[Constraint], cond_target: float) -> CurvatureEstimate | None:
+                    constraints: list[Constraint],
+                    schedule: LocallyOptimal) -> CurvatureEstimate | None:
     """Accelerated update: prox step at the extrapolation Y, then a momentum step.
 
     grad_F = grad_f(Y) + lam * (Y - A); A_next = prox(Y - grad_F / L_bar);
@@ -257,7 +259,7 @@ def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     a_old = state.model.factors[i]
     y_old = state.extrapolation.factors[i]
     grad, gram = _gradient(state, t, sample, y_old)
-    est = _curvature(state, gram, cond_target, i)
+    est = _curvature(state, gram, schedule, i)
     if est is None:
         return None
     grad_reg = grad + est.lam * (y_old - a_old)
@@ -268,12 +270,13 @@ def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
 
 
 def spg_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
-                  constraints: list[Constraint], cond_target: float) -> CurvatureEstimate | None:
+                  constraints: list[Constraint],
+                  schedule: LocallyOptimal) -> CurvatureEstimate | None:
     """The ascpd update without extrapolation or momentum: prox(A - grad / L_bar)."""
     i = sample.mode
     a_old = state.model.factors[i]
     grad, gram = _gradient(state, t, sample, a_old)
-    est = _curvature(state, gram, cond_target, i)
+    est = _curvature(state, gram, schedule, i)
     if est is not None:
         state.model.factors[i] = constraints[i].prox(a_old - grad / est.L_bar)
     return est
@@ -356,10 +359,9 @@ def als_sweep(state: SolverState, t: DenseTensor, constraints: list[Constraint])
     """One pass over all modes, each solving its least-squares block in place.
 
     Updated factors are used immediately by the later modes of the same sweep.
-    The sweep is charged four full-MTTKRP equivalents of work (one
-    full-iteration unit).  Returns the last mode's MTTKRP, which stays exact
-    for the updated model (only the last factor changed after it) and so
-    lets the metric skip its own MTTKRP.
+    The sweep is charged one full-iteration unit of work.  Returns the last
+    mode's MTTKRP, which stays exact for the updated model (only the last
+    factor changed after it) and so lets the metric skip its own MTTKRP.
     """
     model = state.model
     for i in range(t.order):
@@ -370,7 +372,7 @@ def als_sweep(state: SolverState, t: DenseTensor, constraints: list[Constraint])
         else:
             model.factors[i] = _prox_block_solve(model.factors[i], gram, rhs, constraints[i])
     state.iteration += 1
-    state.work_units += 4 * math.prod(t.dims)
+    state.work_units += full_iteration_cost(t.dims)
     return rhs
 
 

@@ -27,11 +27,14 @@ from __future__ import annotations
 import math
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import RunRecord
+from .sampling import RNG_ALGORITHM
+from .solvers import SolverConfig
 from .tensor import DenseTensor, KruskalModel
 
 TENSOR_MAGIC = b"DTEN"
@@ -121,13 +124,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def config_echo(cfgs: list[SolverConfig], dims, extra: dict | None = None) -> dict:
+    """The CSV config echo of one or more configs that differ at most in solver and
+    schedule (bench's average.csv): the solvers joined by commas, then every
+    schedule field once, in solver order, then `extra`."""
+    cfg = cfgs[0]
+    echo = {
+        "solver": ",".join(c.solver for c in cfgs),
+        "dims": ",".join(str(d) for d in dims),
+        "rank": cfg.rank,
+        "constraint": cfg.constraint,
+        "block": ",".join(str(b) for b in cfg.blocks_for(len(dims))),
+    }
+    for c in cfgs:
+        if c.schedule is not None:
+            echo.update(asdict(c.schedule))
+    echo.update({
+        "seed": cfg.seed,
+        "max_full_iters": cfg.max_full_iters,
+        "tol": "" if cfg.tol is None else cfg.tol,
+        "rng": RNG_ALGORITHM,
+    })
+    if extra:
+        echo.update(extra)
+    return echo
+
+
 def echo_lines(config: dict) -> list[str]:
     return [f"# {key}={_fmt(value)}" for key, value in config.items()]
 
 
-def write_run_csv(path, records: list[RunRecord]) -> None:
-    """Per-trial trace CSV, echoing the first record's config; rows sorted by (trial, full_iter)."""
-    lines = echo_lines(records[0].config if records else {})
+def write_run_csv(path, records: list[RunRecord], config_echo: dict) -> None:
+    """Per-trial trace CSV after the config echo; rows sorted by (trial, full_iter)."""
+    lines = echo_lines(config_echo)
     lines.append(",".join(CSV_COLUMNS))
     for rec in sorted(records, key=lambda r: r.trial):
         for cp in rec.checkpoints:

@@ -85,14 +85,6 @@ class DenseTensor:
             arr = arr.reshape(1)
         return cls(arr.shape, arr.ravel(order="F"))
 
-    @classmethod
-    def zeros(cls, dims) -> "DenseTensor":
-        dims = tuple(int(d) for d in dims)
-        return cls(dims, np.zeros(math.prod(dims)))
-
-    def copy(self) -> "DenseTensor":
-        return DenseTensor(self.dims, self.values.copy())
-
 
 @dataclass
 class KruskalModel:

@@ -173,11 +173,11 @@ def test_criterion_03_lambda_and_momentum_invariants():
     noisy, _, _ = generate_synthetic(SyntheticSpec((12, 10, 8), 3, snr_db=20.0, seed=303))
     state = init_state(np.random.default_rng(304), noisy.dims, 3, "ascpd")
     constraints = per_mode("nonneg", 3)
-    sampler = FiberSampler(noisy.dims, 16, seed=305)
+    sampler = FiberSampler(noisy.dims, (16, 16, 16), np.random.default_rng(305))
     checked = 0
     ok = True
     for _ in range(10000):
-        est = ascpd_iteration(state, noisy, sampler.draw(), constraints, cond)
+        est = ascpd_iteration(state, noisy, sampler.draw(), constraints, LocallyOptimal(cond))
         if est is None:
             continue
         checked += 1

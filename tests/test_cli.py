@@ -270,3 +270,27 @@ def test_zero_alpha_and_b_accepted(tmp_path):
                                     "dims": [4, 4, 4], "block": 4, "max_full_iters": 1,
                                     "alpha": 0, "b": 0, "out_dir": str(tmp_path / "bench")}))
     assert cli_main(["bench", "--config", str(cfg_path)]) == 0
+
+
+def test_bench_rejects_duplicate_solver(tmp_path, capsys):
+    config = {"solvers": ["ascpd", "als", "ascpd"], "rank": 2, "dims": [4, 4, 4], "block": 4,
+              "max_full_iters": 1, "out_dir": str(tmp_path / "bench")}
+    assert run_bench(tmp_path, config) == 1
+    assert "error: solver 'ascpd' is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("solver", ["ascpd", "als"])
+def test_blocksize_count_checked_before_any_trial(tmp_path, capsys, solver):
+    tensor_path = tmp_path / "x.dten"
+    write_tensor(DenseTensor((3, 4, 5), np.ones(60)), tensor_path)
+    csv_path = tmp_path / "o.csv"
+    assert cli_main(["decompose", "--in", str(tensor_path), "--solver", solver, "--rank", "2",
+                     "--block", "4,4", "--csv", str(csv_path)]) == 1
+    assert "error: need 3 blocksizes, got 2" in capsys.readouterr().err
+    assert not csv_path.exists()
+    config = {"solvers": [solver], "rank": 2, "dims": [4, 4, 4], "block": [4, 4],
+              "max_full_iters": 1, "out_dir": str(tmp_path / "bench")}
+    assert run_bench(tmp_path, config) == 1
+    assert "error: need 3 blocksizes, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()

@@ -97,7 +97,7 @@ def test_metric_equals_objective_identity():
 
 
 def test_metric_zero_tensor_rejected():
-    t = DenseTensor.zeros((2, 2))
+    t = DenseTensor((2, 2), np.zeros(4))
     _, truth, _ = generate_synthetic(SyntheticSpec((2, 2), 1, seed=8))
     with pytest.raises(ValueError):
         metric(t, truth)
@@ -117,7 +117,7 @@ def test_run_zero_budget_only_initial_checkpoint():
 
 
 def records_equal_modulo_wall(a: RunRecord, b: RunRecord) -> bool:
-    if (a.solver, a.seed, a.trial, a.config) != (b.solver, b.seed, b.trial, b.config):
+    if (a.solver, a.seed, a.trial) != (b.solver, b.seed, b.trial):
         return False
     if len(a.checkpoints) != len(b.checkpoints):
         return False
@@ -205,7 +205,7 @@ def test_run_trials_deterministic():
 
 
 def test_run_trials_reports_failing_seed():
-    bad = DenseTensor.zeros((3, 3, 3))  # metric rejects the zero tensor
+    bad = DenseTensor((3, 3, 3), np.zeros(27))  # metric rejects the zero tensor
     with pytest.raises(RuntimeError, match=r"trial 0 \(seed 19\)"):
         run_trials(bad, small_cfg(seed=19, max_full_iters=1), trials=2)
 
@@ -217,8 +217,8 @@ def test_run_trials_requires_positive_count():
 
 
 def test_average_records_aligns_on_index():
-    rec_a = RunRecord("als", 0, 0, {}, [Checkpoint(0, 0, 1.0, 0.0), Checkpoint(1, 10, 0.5, 1.0)])
-    rec_b = RunRecord("als", 1, 1, {}, [Checkpoint(0, 0, 0.8, 0.0)])
+    rec_a = RunRecord("als", 0, 0, [Checkpoint(0, 0, 1.0, 0.0), Checkpoint(1, 10, 0.5, 1.0)])
+    rec_b = RunRecord("als", 1, 1, [Checkpoint(0, 0, 0.8, 0.0)])
     avg = average_records([rec_a, rec_b])
     assert [c.full_iter for c in avg.checkpoints] == [0, 1]
     assert avg.checkpoints[0].m == pytest.approx(0.9)
@@ -228,12 +228,12 @@ def test_average_records_aligns_on_index():
 def test_average_records_carries_stopped_trials_forward():
     # trials that stopped at their tolerance after 0, 1 and 2 full iterations
     recs = [
-        RunRecord("ascpd", 0, 0, {}, [Checkpoint(0, 0, 0.9, 0.0)]),
-        RunRecord("ascpd", 1, 1, {}, [Checkpoint(0, 0, 1.0, 0.0),
-                                      Checkpoint(1, 12, 0.4, 1.0)]),
-        RunRecord("ascpd", 2, 2, {}, [Checkpoint(0, 0, 0.8, 0.0),
-                                      Checkpoint(1, 10, 0.6, 2.0),
-                                      Checkpoint(2, 21, 0.3, 4.0)]),
+        RunRecord("ascpd", 0, 0, [Checkpoint(0, 0, 0.9, 0.0)]),
+        RunRecord("ascpd", 1, 1, [Checkpoint(0, 0, 1.0, 0.0),
+                                  Checkpoint(1, 12, 0.4, 1.0)]),
+        RunRecord("ascpd", 2, 2, [Checkpoint(0, 0, 0.8, 0.0),
+                                  Checkpoint(1, 10, 0.6, 2.0),
+                                  Checkpoint(2, 21, 0.3, 4.0)]),
     ]
     avg = average_records(recs)
     assert [c.full_iter for c in avg.checkpoints] == [0, 1, 2]

@@ -138,7 +138,7 @@ def test_gather_block_covering_all_fibers(dims, extra, data):
     """block >= J: the sampler clamps to every fiber of the mode."""
     t, _ = instance(data.draw(st.integers(0, 2**31 - 1)), dims, 1)
     blocks = [row_count(dims, n) + extra for n in range(len(dims))]
-    sampler = FiberSampler(dims, blocks, seed=data.draw(st.integers(0, 1000)))
+    sampler = FiberSampler(dims, blocks, np.random.default_rng(data.draw(st.integers(0, 1000))))
     for _ in range(len(dims)):
         sample = sampler.draw()
         assert sample.size == row_count(dims, sample.mode)

@@ -207,7 +207,7 @@ def test_curvature_beta_in_range():
     for _ in range(50):
         k = rng.standard_normal((6, 3))
         L, mu = eigen_extremes(k.T @ k)
-        est = CurvatureEstimate(k.T @ k, L, mu, lambda_rule(L, mu, 100.0))
+        est = CurvatureEstimate(L, mu, lambda_rule(L, mu, 100.0))
         assert 0.0 <= est.beta < 1.0
         if est.L_bar == est.mu_bar:
             assert est.beta == 0.0
@@ -236,7 +236,7 @@ def test_ascpd_iteration_matches_scripted_update():
     y_old = state.extrapolation.factors[mode].copy()
     model_before = state.model.copy()
 
-    est = ascpd_iteration(state, t, sample, NONNEG, cond)
+    est = ascpd_iteration(state, t, sample, NONNEG, LocallyOptimal(cond))
 
     k = kr_full(model_before, mode)[sample.indices]
     x = unfold(t, mode)[sample.indices]
@@ -264,7 +264,7 @@ def test_ascpd_fixed_point_when_gradient_zero():
     state.model = model.copy()
     state.extrapolation = model.copy()
     before = [f.copy() for f in model.factors]
-    ascpd_iteration(state, t, FiberSample(0, np.array([0, 1, 2])), UNCON, 10.0)
+    ascpd_iteration(state, t, FiberSample(0, np.array([0, 1, 2])), UNCON, LocallyOptimal(10.0))
     for n in range(3):
         assert np.linalg.norm(state.model.factors[n] - before[n]) < 1e-12
         assert np.linalg.norm(state.extrapolation.factors[n] - before[n]) < 1e-12
@@ -277,8 +277,8 @@ def test_ascpd_rank1_reduces_to_spg():
     state_a = make_state(15, t, 1, "ascpd")
     state_s = make_state(15, t, 1, "spg")
     sample = FiberSample(2, np.array([1, 4, 5]))
-    est = ascpd_iteration(state_a, t, sample, NONNEG, 50.0)
-    spg_iteration(state_s, t, sample, NONNEG, 50.0)
+    est = ascpd_iteration(state_a, t, sample, NONNEG, LocallyOptimal(50.0))
+    spg_iteration(state_s, t, sample, NONNEG, LocallyOptimal(50.0))
     assert est.beta == 0.0
     for n in range(3):
         np.testing.assert_array_equal(state_a.model.factors[n], state_s.model.factors[n])
@@ -292,7 +292,7 @@ def test_spg_iteration_matches_scripted_update():
     a_old = state.model.factors[mode].copy()
     model_before = state.model.copy()
 
-    spg_iteration(state, t, sample, NONNEG, cond)
+    spg_iteration(state, t, sample, NONNEG, LocallyOptimal(cond))
 
     k = kr_full(model_before, mode)[sample.indices]
     x = unfold(t, mode)[sample.indices]
@@ -311,7 +311,7 @@ def test_spg_zero_gradient_fixed_point():
     state = make_state(19, t, 2, "spg")
     state.model = model.copy()
     before = model.factors[1].copy()
-    spg_iteration(state, t, FiberSample(1, np.array([0, 2])), UNCON, 10.0)
+    spg_iteration(state, t, FiberSample(1, np.array([0, 2])), UNCON, LocallyOptimal(10.0))
     assert np.linalg.norm(state.model.factors[1] - before) < 1e-12
 
 
@@ -397,7 +397,7 @@ def test_adacpd_first_step_normalizes_to_eta_signs():
 def test_adagrad_accumulator_monotone():
     t, _, _ = generate_synthetic(SyntheticSpec((5, 4, 3), 2, snr_db=10.0, seed=30))
     state = make_state(31, t, 2, "adacpd")
-    sampler = FiberSampler(t.dims, 3, seed=32)
+    sampler = FiberSampler(t.dims, (3, 3, 3), np.random.default_rng(32))
     prev = [a.copy() for a in state.adagrad_accumulator]
     for _ in range(30):
         adacpd_iteration(state, t, sampler.draw(), NONNEG, Adagrad())
@@ -413,7 +413,8 @@ def test_degenerate_sample_is_noop_with_warning(caplog):
     state.extrapolation = state.model.copy()
     before = state.model.factors[0].copy()
     with caplog.at_level(logging.WARNING, logger="fibercpd.solvers"):
-        est = ascpd_iteration(state, t, FiberSample(0, np.array([0, 1])), UNCON, 10.0)
+        est = ascpd_iteration(state, t, FiberSample(0, np.array([0, 1])), UNCON,
+                              LocallyOptimal(10.0))
     assert est is None
     np.testing.assert_array_equal(state.model.factors[0], before)
     assert any("skipping" in rec.message for rec in caplog.records)
@@ -424,14 +425,14 @@ def test_degenerate_sample_is_noop_with_warning(caplog):
 def test_iterations_touch_exactly_one_mode():
     t, _, _ = generate_synthetic(SyntheticSpec((5, 4, 3), 2, snr_db=20.0, seed=35))
     steppers = {
-        "ascpd": lambda s, sample: ascpd_iteration(s, t, sample, NONNEG, 100.0),
-        "spg": lambda s, sample: spg_iteration(s, t, sample, NONNEG, 100.0),
+        "ascpd": lambda s, sample: ascpd_iteration(s, t, sample, NONNEG, LocallyOptimal()),
+        "spg": lambda s, sample: spg_iteration(s, t, sample, NONNEG, LocallyOptimal()),
         "brascpd": lambda s, sample: brascpd_iteration(s, t, sample, NONNEG, Diminishing()),
         "adacpd": lambda s, sample: adacpd_iteration(s, t, sample, NONNEG, Adagrad()),
     }
     for solver, step in steppers.items():
         state = make_state(36, t, 2, solver)
-        sampler = FiberSampler(t.dims, 4, seed=37)
+        sampler = FiberSampler(t.dims, (4, 4, 4), np.random.default_rng(37))
         for _ in range(10):
             sample = sampler.draw()
             others = {n: state.model.factors[n].copy() for n in range(3) if n != sample.mode}
@@ -442,14 +443,11 @@ def test_iterations_touch_exactly_one_mode():
 
 def test_nonneg_constraint_holds_after_every_iteration():
     t, _, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 3, snr_db=10.0, seed=38))
-    for solver, kwargs in [("ascpd", 100.0), ("spg", 100.0)]:
+    for solver, iteration in [("ascpd", ascpd_iteration), ("spg", spg_iteration)]:
         state = make_state(39, t, 3, solver)
-        sampler = FiberSampler(t.dims, 5, seed=40)
+        sampler = FiberSampler(t.dims, (5, 5, 5), np.random.default_rng(40))
         for _ in range(60):
-            if solver == "ascpd":
-                ascpd_iteration(state, t, sampler.draw(), NONNEG, kwargs)
-            else:
-                spg_iteration(state, t, sampler.draw(), NONNEG, kwargs)
+            iteration(state, t, sampler.draw(), NONNEG, LocallyOptimal())
             for f in state.model.factors:
                 assert np.all(f >= 0.0)
 

@@ -128,16 +128,14 @@ def test_factors_bad_magic(tmp_path):
 
 def sample_records():
     return [
-        RunRecord("ascpd", 1, 0, {"solver": "ascpd", "seed": 1},
-                  [Checkpoint(0, 0, 1.0, 0.0), Checkpoint(1, 100, 0.5, 0.1)]),
-        RunRecord("ascpd", 2, 1, {"solver": "ascpd", "seed": 1},
-                  [Checkpoint(0, 0, 0.9, 0.0), Checkpoint(1, 100, 0.4, 0.1)]),
+        RunRecord("ascpd", 1, 0, [Checkpoint(0, 0, 1.0, 0.0), Checkpoint(1, 100, 0.5, 0.1)]),
+        RunRecord("ascpd", 2, 1, [Checkpoint(0, 0, 0.9, 0.0), Checkpoint(1, 100, 0.4, 0.1)]),
     ]
 
 
 def test_run_csv_layout(tmp_path):
     path = tmp_path / "out.csv"
-    write_run_csv(path, sample_records())
+    write_run_csv(path, sample_records(), {"solver": "ascpd", "seed": 1})
     lines = path.read_text().splitlines()
     assert lines[0] == "# solver=ascpd"
     assert lines[1] == "# seed=1"
@@ -152,7 +150,7 @@ def test_run_csv_layout(tmp_path):
 
 def test_run_csv_roundtrip_parse(tmp_path):
     path = tmp_path / "out.csv"
-    write_run_csv(path, sample_records())
+    write_run_csv(path, sample_records(), {"solver": "ascpd", "seed": 1})
     echo, rows = read_run_csv(path)
     assert echo["solver"] == "ascpd"
     assert len(rows) == 4
@@ -162,8 +160,8 @@ def test_run_csv_roundtrip_parse(tmp_path):
 
 def test_average_csv_layout(tmp_path):
     path = tmp_path / "avg.csv"
-    rec = RunRecord("spg", 1, None, {}, [Checkpoint(0, 0, 1.0, 0.0)])
-    rec2 = RunRecord("ascpd", 1, None, {}, [Checkpoint(0, 0, 0.5, 0.0)])
+    rec = RunRecord("spg", 1, None, [Checkpoint(0, 0, 1.0, 0.0)])
+    rec2 = RunRecord("ascpd", 1, None, [Checkpoint(0, 0, 0.5, 0.0)])
     write_average_csv(path, {"spg": rec, "ascpd": rec2}, config_echo={"trials": 10})
     lines = path.read_text().splitlines()
     assert lines[0] == "# trials=10"
