@@ -37,16 +37,29 @@ def sample_without_replacement(rng: np.random.Generator, population: int, k: int
 
     Partial Fisher-Yates shuffle with a sparse swap table: O(k) memory even
     when the population is large.  Result is sorted.
+
+    Step t swaps position t with the position r_t >= t it draws.  Its output
+    is r_t unless an earlier step drew r_t too.  The entry it leaves at r_t
+    is position t's, which only an earlier draw < k can have changed, and it
+    is read again only if r_t is drawn again.  So replaying the swap table
+    over the steps whose draw repeats or is < k gives the loop's output
+    exactly, and every other step outputs its draw.
     """
     if population < 1:
         raise ValueError("population must be >= 1")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if k >= population:
         return np.arange(population, dtype=np.int64)
-    draws = rng.integers(np.arange(k, dtype=np.int64), population)
+    out = rng.integers(np.arange(k, dtype=np.int64), population)
+    order = out.argsort()
+    same = out[order[1:]] == out[order[:-1]]
+    replay = out < k
+    replay[order[1:][same]] = True
+    replay[order[:-1][same]] = True
+    steps = np.flatnonzero(replay)
     displaced: dict[int, int] = {}
-    out = np.empty(k, dtype=np.int64)
-    for t in range(k):
-        r = int(draws[t])
+    for t, r in zip(steps.tolist(), out[steps].tolist()):
         out[t] = displaced.get(r, r)
         displaced[r] = displaced.get(t, t)
     out.sort()

@@ -207,7 +207,8 @@ def sampled_gradient(t: DenseTensor, model: KruskalModel, sample: FiberSample,
     k_f = kr_rows(model, i, sample.indices)
     gram = k_f.T @ k_f
     x_f = gather_fiber_rows(t, i, sample.indices)
-    grad = at @ gram - x_f.T @ k_f
+    grad = at @ gram
+    grad -= x_f.T @ k_f
     return grad, gram
 
 
@@ -262,9 +263,17 @@ def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     est = _curvature(state, gram, schedule, i)
     if est is None:
         return None
-    grad_reg = grad + est.lam * (y_old - a_old)
-    a_new = constraints[i].prox(y_old - grad_reg / est.L_bar)
-    state.extrapolation.factors[i] = a_new + est.beta * (a_new - a_old)
+    # in place on the fresh `grad` and one scratch array, in the same IEEE
+    # operations as the formulas above; a_old and y_old are never written
+    scratch = y_old - a_old
+    scratch *= est.lam
+    grad += scratch
+    grad /= est.L_bar
+    a_new = constraints[i].prox(np.subtract(y_old, grad, out=grad))
+    np.subtract(a_new, a_old, out=scratch)
+    scratch *= est.beta
+    scratch += a_new
+    state.extrapolation.factors[i] = scratch
     state.model.factors[i] = a_new
     return est
 
@@ -278,7 +287,8 @@ def spg_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     grad, gram = _gradient(state, t, sample, a_old)
     est = _curvature(state, gram, schedule, i)
     if est is not None:
-        state.model.factors[i] = constraints[i].prox(a_old - grad / est.L_bar)
+        grad /= est.L_bar
+        state.model.factors[i] = constraints[i].prox(np.subtract(a_old, grad, out=grad))
     return est
 
 
@@ -288,8 +298,8 @@ def brascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     i = sample.mode
     a_old = state.model.factors[i]
     grad, _ = _gradient(state, t, sample, a_old)
-    alpha_k = schedule.step(state.iteration)
-    state.model.factors[i] = constraints[i].prox(a_old - (alpha_k / sample.size) * grad)
+    grad *= schedule.step(state.iteration) / sample.size
+    state.model.factors[i] = constraints[i].prox(np.subtract(a_old, grad, out=grad))
 
 
 def adacpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
@@ -299,11 +309,15 @@ def adacpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     a_old = state.model.factors[i]
     grad, _ = _gradient(state, t, sample, a_old)
     acc = state.adagrad_accumulator[i]
-    acc += grad * grad
-    denom = (schedule.b + acc) ** (0.5 + schedule.eps)
-    delta = np.divide(schedule.eta * grad, denom,
-                      out=np.zeros_like(grad), where=denom > 0)
-    state.model.factors[i] = constraints[i].prox(a_old - delta)
+    denom = grad * grad
+    acc += denom
+    np.add(acc, schedule.b, out=denom)
+    denom **= 0.5 + schedule.eps
+    grad *= schedule.eta
+    live = denom > 0
+    np.divide(grad, denom, out=grad, where=live)
+    np.copyto(grad, 0.0, where=~live)
+    state.model.factors[i] = constraints[i].prox(np.subtract(a_old, grad, out=grad))
 
 
 # ---------------------------------------------------------------------------

@@ -138,25 +138,6 @@ def row_count(dims, mode: int) -> int:
     return math.prod(d for n, d in enumerate(dims) if n != mode)
 
 
-def rows_to_digits(dims, mode: int, rows) -> np.ndarray:
-    """Decompose unfolding row indices into the 0-based index of each surviving mode.
-
-    Returns an array of shape (order-1, len(rows)); row k holds the index of
-    the k-th surviving mode (increasing mode order, smallest mode fastest).
-    """
-    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-    j = row_count(dims, mode)
-    if rows.size and (rows.min() < 0 or rows.max() >= j):
-        raise ValueError(f"fiber row index out of range [0, {j})")
-    surv = surviving_modes(dims, mode)
-    digits = np.empty((len(surv), rows.size), dtype=np.int64)
-    stride = 1
-    for k, n in enumerate(surv):
-        digits[k] = (rows // stride) % dims[n]
-        stride *= dims[n]
-    return digits
-
-
 def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     """Mode-`mode` unfolding as a fresh (J, I_mode) matrix; `t` is left unchanged."""
     _check_mode(t.dims, mode)
@@ -211,17 +192,27 @@ def kr_rows(model: KruskalModel, mode: int, rows) -> np.ndarray:
     """Selected rows of kr_full(model, mode) without materializing the full product.
 
     Cost is O(len(rows) * order * rank): each requested row is the elementwise
-    product of one row from every surviving factor.
+    product of one row from every surviving factor.  Surviving mode n's index
+    is (row // stride) % I_n, with stride the product of the earlier surviving
+    dims; the range check makes the last one's `%` a no-op, so it is skipped.
     """
     dims = model.dims
     rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-    digits = rows_to_digits(dims, mode, rows)
+    j = row_count(dims, mode)
+    if rows.size and (rows.min() < 0 or rows.max() >= j):
+        raise ValueError(f"fiber row index out of range [0, {j})")
     surv = surviving_modes(dims, mode)
     if not surv:
         return np.ones((rows.size, model.rank))
-    out = model.factors[surv[0]][digits[0]].copy()
-    for k in range(1, len(surv)):
-        out *= model.factors[surv[k]][digits[k]]
+    first, *rest = surv
+    out = model.factors[first].take(rows % dims[first] if rest else rows, axis=0)
+    stride = dims[first]
+    for n in rest:
+        digit = rows // stride
+        if n != rest[-1]:
+            digit %= dims[n]
+        out *= model.factors[n].take(digit, axis=0)
+        stride *= dims[n]
     return out
 
 

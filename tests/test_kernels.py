@@ -1,7 +1,8 @@
 """Differential tests of the dense kernels against the forms they replaced.
 
 The oracles below are the earlier implementations, kept here only as
-references: the einsum MTTKRP, the index-matrix fiber gather and the metric
+references: the einsum MTTKRP, the row-digit decomposition with the
+index-matrix fiber gather and the Khatri-Rao rows built on it, and the metric
 from the full reconstruction.
 """
 
@@ -27,11 +28,11 @@ from fibercpd.tensor import (
     KruskalModel,
     frob_norm,
     gather_fiber_rows,
+    kr_rows,
     mttkrp,
     objective,
     reconstruct,
     row_count,
-    rows_to_digits,
     surviving_modes,
 )
 
@@ -48,6 +49,33 @@ def einsum_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
             subs.append(_LETTERS[n] + "z")
     expr = ",".join(subs) + "->" + _LETTERS[mode] + "z"
     return np.einsum(expr, *operands, optimize=True)
+
+
+def rows_to_digits(dims, mode: int, rows) -> np.ndarray:
+    """(order-1, len(rows)) indices of the surviving modes, smallest mode first."""
+    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+    j = row_count(dims, mode)
+    if rows.size and (rows.min() < 0 or rows.max() >= j):
+        raise ValueError(f"fiber row index out of range [0, {j})")
+    surv = surviving_modes(dims, mode)
+    digits = np.empty((len(surv), rows.size), dtype=np.int64)
+    stride = 1
+    for k, n in enumerate(surv):
+        digits[k] = (rows // stride) % dims[n]
+        stride *= dims[n]
+    return digits
+
+
+def digits_kr_rows(model: KruskalModel, mode: int, rows) -> np.ndarray:
+    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+    digits = rows_to_digits(model.dims, mode, rows)
+    surv = surviving_modes(model.dims, mode)
+    if not surv:
+        return np.ones((rows.size, model.rank))
+    out = model.factors[surv[0]][digits[0]].copy()
+    for k in range(1, len(surv)):
+        out *= model.factors[surv[k]][digits[k]]
+    return out
 
 
 def index_matrix_gather(t: DenseTensor, mode: int, rows) -> np.ndarray:
@@ -161,6 +189,40 @@ def test_gather_out_of_range_rows_rejected_like_oracle(dims):
 def test_gather_empty_rows():
     t, _ = instance(5, (3, 4, 2), 1)
     assert gather_fiber_rows(t, 1, []).shape == (0, 4)
+
+
+def test_rows_to_digits_known():
+    digits = rows_to_digits((2, 2, 2), 0, [3])
+    np.testing.assert_array_equal(digits.ravel(), [1, 1])
+
+
+# ---------------------------------------------------------------------------
+# kr_rows
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=dims_strategy, rank=st.integers(1, 3), data=st.data())
+def test_kr_rows_matches_digits_oracle_bitwise(dims, rank, data):
+    mode = data.draw(st.integers(0, len(dims) - 1))
+    _, model = instance(data.draw(st.integers(0, 2**31 - 1)), dims, rank)
+    j = row_count(dims, mode)
+    rows = data.draw(st.lists(st.integers(0, j - 1), max_size=2 * j))
+    got = kr_rows(model, mode, rows)
+    assert got.shape == (len(rows), rank)
+    assert np.array_equal(got, digits_kr_rows(model, mode, rows))
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 2), (5,), (1, 3, 1, 2)])
+def test_kr_rows_out_of_range_rows_rejected_like_oracle(dims):
+    _, model = instance(4, dims, 2)
+    for mode in range(len(dims)):
+        j = row_count(dims, mode)
+        for bad in ([-1], [j], [0, j + 3]):
+            with pytest.raises(ValueError, match="out of range"):
+                digits_kr_rows(model, mode, bad)
+            with pytest.raises(ValueError, match="out of range"):
+                kr_rows(model, mode, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,30 @@ from fibercpd.sampling import FiberSampler, sample_without_replacement
 from fibercpd.solvers import SolverConfig
 
 
+def fisher_yates_loop(rng: np.random.Generator, population: int, k: int) -> np.ndarray:
+    """The plain partial Fisher-Yates loop, the oracle: the same draw, then the
+    sparse swap table replayed over every step."""
+    if k >= population:
+        return np.arange(population, dtype=np.int64)
+    draws = rng.integers(np.arange(k, dtype=np.int64), population)
+    displaced: dict[int, int] = {}
+    out = np.empty(k, dtype=np.int64)
+    for t in range(k):
+        r = int(draws[t])
+        out[t] = displaced.get(r, r)
+        displaced[r] = displaced.get(t, t)
+    out.sort()
+    return out
+
+
+def assert_matches_loop(population, k, seed):
+    """Same output as the loop, and the generator left at the same place."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(sample_without_replacement(rng, population, k),
+                          fisher_yates_loop(oracle_rng, population, k))
+    assert rng.integers(2**62) == oracle_rng.integers(2**62)
+
+
 def make_sampler(dims, blocks, seed):
     return FiberSampler(dims, blocks, np.random.default_rng(seed))
 
@@ -83,6 +107,30 @@ def test_sample_without_replacement_properties(population, k, seed):
     assert len(np.unique(out)) == out.size
     assert out.min() >= 0 and out.max() < population
     assert np.all(np.diff(out) > 0)  # sorted
+
+
+@settings(max_examples=300, deadline=None)
+@given(population=st.integers(1, 60_000), data=st.data(), seed=st.integers(0, 2**63 - 1))
+def test_sample_without_replacement_matches_loop(population, data, seed):
+    assert_matches_loop(population, data.draw(st.integers(0, population + 3)), seed)
+
+
+@pytest.mark.parametrize("population, k", [
+    (1, 1), (1, 0), (2, 1), (7, 1), (7, 6), (500, 1), (500, 499), (60_000, 1),
+    (3600, 200),     # desk: 60^3, block 200
+    (40_000, 500),   # paper: 200^3, block 500
+    (31_900, 300),   # hsi modes 0 and 1: 145 x 220 fibers, block 300
+    (21_025, 300),   # hsi mode 2: 145 x 145 fibers
+])
+def test_sample_without_replacement_matches_loop_at_edges_and_cells(population, k):
+    for seed in range(200):
+        assert_matches_loop(population, k, seed)
+
+
+def test_sample_without_replacement_rejects_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        sample_without_replacement(np.random.default_rng(0), 10, -3)
+    assert sample_without_replacement(np.random.default_rng(0), 10, 0).shape == (0,)
 
 
 def test_sample_without_replacement_uniform_marginals():

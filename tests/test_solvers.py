@@ -441,6 +441,34 @@ def test_iterations_touch_exactly_one_mode():
                 assert np.array_equal(state.model.factors[n], before), solver
 
 
+@pytest.mark.parametrize("kind", ["nonneg", "none"])
+@pytest.mark.parametrize("solver", ["ascpd", "spg", "brascpd", "adacpd"])
+def test_iteration_never_writes_into_arrays_it_replaces(solver, kind):
+    """The updates run in place, but only on arrays the iteration made itself.
+
+    The identity prox returns its input, so `none` is where an update could
+    alias: every factor array the model or the extrapolation held before a
+    step keeps its values, and the two never share an array afterwards.
+    """
+    t, _, _ = generate_synthetic(SyntheticSpec((5, 4, 3), 2, snr_db=20.0, seed=41))
+    iteration = {"ascpd": ascpd_iteration, "spg": spg_iteration,
+                 "brascpd": brascpd_iteration, "adacpd": adacpd_iteration}[solver]
+    schedule = SolverConfig(solver, 2).schedule
+    state = make_state(42, t, 2, solver)
+    sampler = FiberSampler(t.dims, (4, 4, 4), np.random.default_rng(43))
+    for _ in range(12):
+        held = list(state.model.factors)
+        if state.extrapolation is not None:
+            held += state.extrapolation.factors
+        snapshot = [f.copy() for f in held]
+        iteration(state, t, sampler.draw(), per_mode(kind, 3), schedule)
+        for f, before in zip(held, snapshot):
+            assert np.array_equal(f, before)
+        if state.extrapolation is not None:
+            for a, y in zip(state.model.factors, state.extrapolation.factors):
+                assert a is not y
+
+
 def test_nonneg_constraint_holds_after_every_iteration():
     t, _, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 3, snr_db=10.0, seed=38))
     for solver, iteration in [("ascpd", ascpd_iteration), ("spg", spg_iteration)]:

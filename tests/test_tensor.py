@@ -21,7 +21,6 @@ from fibercpd.tensor import (
     reconstruct,
     relative_error,
     row_count,
-    rows_to_digits,
     unfold,
 )
 
@@ -379,8 +378,3 @@ def test_dense_tensor_bad_dims():
 def test_kruskal_model_column_mismatch():
     with pytest.raises(ValueError):
         KruskalModel([np.zeros((2, 2)), np.zeros((2, 3))])
-
-
-def test_rows_to_digits_known():
-    digits = rows_to_digits((2, 2, 2), 0, [3])
-    np.testing.assert_array_equal(digits.ravel(), [1, 1])
