@@ -23,16 +23,12 @@ from .storage import read_tensor, write_tensor
 from .tensor import (
     DenseTensor,
     KruskalModel,
-    fold,
     frob_norm,
     khatri_rao,
-    kr_full,
     kr_rows,
     mttkrp,
     objective,
-    partial_mttkrp,
     reconstruct,
-    unfold,
 )
 
 __version__ = "0.1.0"

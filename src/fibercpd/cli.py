@@ -19,7 +19,6 @@ from .storage import (
     FileFormatError,
     config_echo,
     read_tensor,
-    write_average_csv,
     write_factors,
     write_run_csv,
     write_tensor,
@@ -232,14 +231,14 @@ def cmd_bench(args) -> int:
     extra["trials"] = trials
     out_dir = Path(given.get("out_dir", "bench_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    averaged: dict = {}
+    averaged = []
     for cfg in configs:
         avg, records = run_trials(data, cfg, trials)
         write_run_csv(out_dir / f"{cfg.solver}.csv", records, config_echo([cfg], data.dims, extra))
-        averaged[cfg.solver] = avg
+        averaged.append(avg)
         print(f"{cfg.solver}: averaged final m_k = {avg.final_metric:.6g} over {trials} trials")
-    write_average_csv(out_dir / "average.csv", averaged,
-                      config_echo=config_echo(configs, data.dims, extra))
+    write_run_csv(out_dir / "average.csv", averaged, config_echo(configs, data.dims, extra),
+                  column="solver")
     print(f"wrote {out_dir}/<solver>.csv and {out_dir}/average.csv")
     return 0
 

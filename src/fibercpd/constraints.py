@@ -11,7 +11,7 @@ CONSTRAINT_KINDS = ("none", "nonneg")
 
 @dataclass(frozen=True)
 class Constraint:
-    """Per-mode feasible set: unconstrained, or the nonnegative orthant."""
+    """Feasible set of every factor matrix: unconstrained, or the nonnegative orthant."""
 
     kind: str = "none"
 
@@ -29,14 +29,3 @@ class Constraint:
             return np.maximum(m, 0.0)
         return m
 
-
-def per_mode(constraint, order: int) -> list[Constraint]:
-    """Broadcast a single constraint (or kind string) to one per mode."""
-    if isinstance(constraint, str):
-        constraint = Constraint(constraint)
-    if isinstance(constraint, Constraint):
-        return [constraint] * order
-    constraints = list(constraint)
-    if len(constraints) != order:
-        raise ValueError(f"need {order} constraints, got {len(constraints)}")
-    return constraints

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solvers
-from .constraints import Constraint, per_mode
+from .constraints import Constraint
 from .sampling import FiberSampler
 from .solvers import SolverConfig, full_iteration_cost, hadamard_gram, init_state
 from .tensor import (
@@ -134,7 +134,7 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0) -> RunRecord:
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     state = init_state(rng, t.dims, cfg.rank, cfg.solver)
-    constraints = per_mode(Constraint(cfg.constraint), t.order)
+    constraint = Constraint(cfg.constraint)
     cost = full_iteration_cost(t.dims)
     start = time.perf_counter()
     norm_sq = squared_norm(t)
@@ -150,13 +150,13 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0) -> RunRecord:
         sweep = solvers.als_sweep
 
         def step():
-            return sweep(state, t, constraints)   # the last MTTKRP, reused by metric
+            return sweep(state, t, constraint)  # the last MTTKRP, reused by metric
     else:
         iteration = getattr(solvers, f"{cfg.solver}_iteration")
         sampler = FiberSampler(t.dims, cfg.blocks_for(t.order), rng)
 
         def step():
-            iteration(state, t, sampler.draw(), constraints, cfg.schedule)
+            iteration(state, t, sampler.draw(), constraint, cfg.schedule)
 
     index = 0
     while True:

@@ -167,38 +167,25 @@ def eigen_extremes(gram: np.ndarray) -> tuple[float, float]:
 
 
 def lambda_rule(L: float, mu: float, cond_target: float) -> float:
-    """Regularizer keeping (L+lam)/(mu+lam) <= cond_target + 1."""
-    if cond_target <= 1:
-        raise ValueError("cond_target must exceed 1")
+    """Regularizer keeping (L+lam)/(mu+lam) <= cond_target + 1 (cond_target > 1,
+    as LocallyOptimal checks)."""
     if mu > 0 and L / mu < cond_target:
         return float(mu)
     return float(L / cond_target)
 
 
 # ---------------------------------------------------------------------------
-# sampled objective / gradient
+# sampled gradient
 # ---------------------------------------------------------------------------
-
-def sampled_objective(t: DenseTensor, model: KruskalModel, sample: FiberSample,
-                      at: np.ndarray) -> float:
-    """0.5 * ||X_F - K_F @ at.T||_F^2 over the sampled fibers.
-
-    The 1/2 makes the gradient exactly `at @ (K_F.T K_F) - X_F.T K_F`, i.e.
-    the sampled Gram matrix is the Hessian of this function.
-    """
-    x_rows = gather_fiber_rows(t, sample.mode, sample.indices)
-    k_rows = kr_rows(model, sample.mode, sample.indices)
-    resid = x_rows - k_rows @ np.asarray(at, dtype=np.float64).T
-    return 0.5 * float(np.vdot(resid, resid))
-
 
 def sampled_gradient(t: DenseTensor, model: KruskalModel, sample: FiberSample,
                      at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the sampled objective at `at`, plus the Gram matrix K_F.T K_F.
+    """Gradient of 0.5 * ||X_F - K_F @ at.T||_F^2 at `at`, plus the Gram matrix K_F.T K_F.
 
-    grad = at @ (K_F.T K_F) - X_F.T K_F with K_F = kr_rows(model, mode, F).
-    The Gram matrix is returned for reuse as the curvature estimate.  Touches
-    |F| * I_mode tensor entries.
+    grad = at @ (K_F.T K_F) - X_F.T K_F with X_F = gather_fiber_rows(t, mode, F)
+    and K_F = kr_rows(model, mode, F); the Gram matrix is the Hessian, returned
+    for reuse as the curvature estimate.  At at = 0 it is minus the MTTKRP
+    restricted to the sampled fibers.  Touches |F| * I_mode tensor entries.
     """
     at = np.asarray(at, dtype=np.float64)
     i = sample.mode
@@ -248,8 +235,7 @@ def _curvature(state: SolverState, gram: np.ndarray, schedule: LocallyOptimal,
 
 
 def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
-                    constraints: list[Constraint],
-                    schedule: LocallyOptimal) -> CurvatureEstimate | None:
+                    constraint: Constraint, schedule: LocallyOptimal) -> CurvatureEstimate | None:
     """Accelerated update: prox step at the extrapolation Y, then a momentum step.
 
     grad_F = grad_f(Y) + lam * (Y - A); A_next = prox(Y - grad_F / L_bar);
@@ -269,7 +255,7 @@ def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     scratch *= est.lam
     grad += scratch
     grad /= est.L_bar
-    a_new = constraints[i].prox(np.subtract(y_old, grad, out=grad))
+    a_new = constraint.prox(np.subtract(y_old, grad, out=grad))
     np.subtract(a_new, a_old, out=scratch)
     scratch *= est.beta
     scratch += a_new
@@ -279,8 +265,7 @@ def ascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
 
 
 def spg_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
-                  constraints: list[Constraint],
-                  schedule: LocallyOptimal) -> CurvatureEstimate | None:
+                  constraint: Constraint, schedule: LocallyOptimal) -> CurvatureEstimate | None:
     """The ascpd update without extrapolation or momentum: prox(A - grad / L_bar)."""
     i = sample.mode
     a_old = state.model.factors[i]
@@ -288,22 +273,22 @@ def spg_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     est = _curvature(state, gram, schedule, i)
     if est is not None:
         grad /= est.L_bar
-        state.model.factors[i] = constraints[i].prox(np.subtract(a_old, grad, out=grad))
+        state.model.factors[i] = constraint.prox(np.subtract(a_old, grad, out=grad))
     return est
 
 
 def brascpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
-                      constraints: list[Constraint], schedule: Diminishing) -> None:
+                      constraint: Constraint, schedule: Diminishing) -> None:
     """Proximal gradient step A - (alpha_k / |F|) * grad with diminishing alpha_k."""
     i = sample.mode
     a_old = state.model.factors[i]
     grad, _ = _gradient(state, t, sample, a_old)
     grad *= schedule.step(state.iteration) / sample.size
-    state.model.factors[i] = constraints[i].prox(np.subtract(a_old, grad, out=grad))
+    state.model.factors[i] = constraint.prox(np.subtract(a_old, grad, out=grad))
 
 
 def adacpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
-                     constraints: list[Constraint], schedule: Adagrad) -> None:
+                     constraint: Constraint, schedule: Adagrad) -> None:
     """Adagrad step: accumulate squared gradients, scale elementwise, prox."""
     i = sample.mode
     a_old = state.model.factors[i]
@@ -317,7 +302,7 @@ def adacpd_iteration(state: SolverState, t: DenseTensor, sample: FiberSample,
     live = denom > 0
     np.divide(grad, denom, out=grad, where=live)
     np.copyto(grad, 0.0, where=~live)
-    state.model.factors[i] = constraints[i].prox(np.subtract(a_old, grad, out=grad))
+    state.model.factors[i] = constraint.prox(np.subtract(a_old, grad, out=grad))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +354,7 @@ def _prox_block_solve(a0: np.ndarray, gram: np.ndarray, rhs: np.ndarray,
     return a_prev
 
 
-def als_sweep(state: SolverState, t: DenseTensor, constraints: list[Constraint]) -> np.ndarray:
+def als_sweep(state: SolverState, t: DenseTensor, constraint: Constraint) -> np.ndarray:
     """One pass over all modes, each solving its least-squares block in place.
 
     Updated factors are used immediately by the later modes of the same sweep.
@@ -381,10 +366,10 @@ def als_sweep(state: SolverState, t: DenseTensor, constraints: list[Constraint])
     for i in range(t.order):
         gram = hadamard_gram(model, skip=i)
         rhs = mttkrp(t, model, i)
-        if constraints[i].kind == "none":
+        if constraint.kind == "none":
             model.factors[i] = _solve_normal_equations(gram, rhs)
         else:
-            model.factors[i] = _prox_block_solve(model.factors[i], gram, rhs, constraints[i])
+            model.factors[i] = _prox_block_solve(model.factors[i], gram, rhs, constraint)
     state.iteration += 1
     state.work_units += full_iteration_cost(t.dims)
     return rhs

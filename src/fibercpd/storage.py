@@ -18,7 +18,8 @@ DFAC layout (truth-factor sidecar):
 
 CSV traces carry a header row `trial,full_iter,work_units,m_k,wall_seconds`,
 rows sorted by (trial, full_iter), preceded by `#`-prefixed `key=value`
-comment lines echoing the run configuration.  All columns except
+comment lines echoing the run configuration.  Averaged traces have the same
+layout with `solver` in place of `trial`.  All columns except
 wall_seconds are deterministic under a fixed seed.
 """
 
@@ -154,25 +155,16 @@ def echo_lines(config: dict) -> list[str]:
     return [f"# {key}={_fmt(value)}" for key, value in config.items()]
 
 
-def write_run_csv(path, records: list[RunRecord], config_echo: dict) -> None:
-    """Per-trial trace CSV after the config echo; rows sorted by (trial, full_iter)."""
+def write_run_csv(path, records: list[RunRecord], config_echo: dict,
+                  column: str = "trial") -> None:
+    """Trace CSV after the config echo, one row per checkpoint.  The first column
+    is each record's `column` attribute: `trial` for per-trial traces, `solver`
+    for averaged ones (one record per solver); rows sorted by (column, full_iter)."""
     lines = echo_lines(config_echo)
-    lines.append(",".join(CSV_COLUMNS))
-    for rec in sorted(records, key=lambda r: r.trial):
+    lines.append(",".join((column, *CSV_COLUMNS[1:])))
+    for rec in sorted(records, key=lambda r: getattr(r, column)):
         for cp in rec.checkpoints:
-            lines.append(f"{rec.trial},{cp.full_iter},{cp.work_units},"
-                         f"{_fmt(float(cp.m))},{_fmt(float(cp.wall_seconds))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_average_csv(path, averaged: dict[str, RunRecord],
-                      config_echo: dict | None = None) -> None:
-    """Combined averaged traces, one block per solver; first column is the solver id."""
-    lines = echo_lines(config_echo or {})
-    lines.append("solver,full_iter,work_units,m_k,wall_seconds")
-    for solver in sorted(averaged):
-        for cp in averaged[solver].checkpoints:
-            lines.append(f"{solver},{cp.full_iter},{cp.work_units},"
+            lines.append(f"{getattr(rec, column)},{cp.full_iter},{cp.work_units},"
                          f"{_fmt(float(cp.m))},{_fmt(float(cp.wall_seconds))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -1,4 +1,4 @@
-"""Dense tensor kernels: unfoldings, Khatri-Rao products, MTTKRP, norms.
+"""Dense tensor kernels: fiber gathers, Khatri-Rao rows, MTTKRP, norms.
 
 Layout convention
 -----------------
@@ -9,13 +9,15 @@ sum_n i_n * prod_{m<n} I_m.
 
 The mode-n unfolding is the J x I_n matrix (J = prod of the other dims) whose
 row index enumerates the surviving modes with the smallest surviving mode
-varying fastest.  Under this convention
+varying fastest.  Under this convention, for any fiber rows `rows`,
 
-    unfold(reconstruct(model), n) == kr_full(model, n) @ model.factors[n].T
+    gather_fiber_rows(reconstruct(model), n, rows)
+        == kr_rows(model, n, rows) @ model.factors[n].T
 
-holds exactly, with kr_full stacking the surviving factors so that the
-smallest mode is the fastest Kronecker index.  Everything downstream (fiber
-sampling, sampled gradients, the solvers) relies on this identity.
+holds up to rounding, with kr_rows returning rows of the Khatri-Rao product
+of the surviving factors, the smallest mode the fastest Kronecker index.
+Everything downstream (fiber sampling, sampled gradients, the solvers) relies
+on this identity.
 
 The kernels work on the flat storage without permuting it.  With L and R_t the
 products of the dims before and after mode n, the storage is an (L, I_n, R_t)
@@ -138,27 +140,6 @@ def row_count(dims, mode: int) -> int:
     return math.prod(d for n, d in enumerate(dims) if n != mode)
 
 
-def unfold(t: DenseTensor, mode: int) -> np.ndarray:
-    """Mode-`mode` unfolding as a fresh (J, I_mode) matrix; `t` is left unchanged."""
-    _check_mode(t.dims, mode)
-    moved = np.moveaxis(t.array, mode, -1)
-    return moved.reshape(row_count(t.dims, mode), t.dims[mode], order="F")
-
-
-def fold(m, mode: int, dims) -> DenseTensor:
-    """Inverse of unfold: rebuild the tensor of shape `dims` from its mode unfolding."""
-    dims = tuple(int(d) for d in dims)
-    _check_mode(dims, mode)
-    m = np.asarray(m, dtype=np.float64)
-    j = row_count(dims, mode)
-    if m.shape != (j, dims[mode]):
-        raise ValueError(f"matrix shape {m.shape} does not match mode-{mode} unfolding "
-                         f"of dims {dims} (expected {(j, dims[mode])})")
-    surv_shape = [dims[n] for n in surviving_modes(dims, mode)]
-    arr = m.reshape(surv_shape + [dims[mode]], order="F")
-    return DenseTensor.from_array(np.moveaxis(arr, -1, mode))
-
-
 def khatri_rao(a, b) -> np.ndarray:
     """Columnwise Kronecker product; the row index of `b` varies fastest."""
     a = np.asarray(a, dtype=np.float64)
@@ -179,17 +160,9 @@ def _kr_chain(factors, rank: int) -> np.ndarray:
     return out
 
 
-def kr_full(model: KruskalModel, mode: int) -> np.ndarray:
-    """Khatri-Rao product of all factors except `mode`, smallest mode fastest.
-
-    Rows are aligned with the rows of unfold(., mode), so the reconstruction
-    satisfies unfold(reconstruct(model), mode) == kr_full(model, mode) @ A_mode.T.
-    """
-    return _kr_chain([model.factors[n] for n in surviving_modes(model.dims, mode)], model.rank)
-
-
 def kr_rows(model: KruskalModel, mode: int, rows) -> np.ndarray:
-    """Selected rows of kr_full(model, mode) without materializing the full product.
+    """Rows `rows` of the Khatri-Rao product of every factor but `mode`, smallest
+    mode fastest (aligned with the unfolding rows), without forming the product.
 
     Cost is O(len(rows) * order * rank): each requested row is the elementwise
     product of one row from every surviving factor.  Surviving mode n's index
@@ -269,21 +242,11 @@ def _mttkrp(t: DenseTensor, factors, mode: int) -> np.ndarray:
 
 
 def mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
-    """Full MTTKRP: unfold(t, mode).T @ kr_full(model, mode), computed by GEMMs."""
+    """Full MTTKRP: the mode unfolding's transpose times the Khatri-Rao product of
+    every factor but `mode`, computed by GEMMs."""
     _check_mode(t.dims, mode)
     _check_model_compatible(t, model, skip=mode)
     return _mttkrp(t, model.factors, mode)
-
-
-def partial_mttkrp(t: DenseTensor, model: KruskalModel, mode: int, rows) -> np.ndarray:
-    """MTTKRP restricted to the sampled fiber rows; touches only those fibers."""
-    _check_model_compatible(t, model, skip=mode)
-    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-    if rows.size == 0:
-        return np.zeros((t.dims[mode], model.rank))
-    x_rows = gather_fiber_rows(t, mode, rows)
-    k_rows = kr_rows(model, mode, rows)
-    return x_rows.T @ k_rows
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:

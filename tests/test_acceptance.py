@@ -2,7 +2,7 @@
 PASS/FAIL line (run with -s to see them live).
 
 Criteria, in order:
- 1. kernel equivalence against dense index-walk oracles (<= 1e-12 relative)
+ 1. the kernels the solvers run against dense index-walk oracles (<= 1e-12 relative)
  2. sampled gradient vs central finite differences and the full-batch formula
  3. condition-cap and momentum-range invariants over 10,000 accelerated steps
  4. unconstrained ALS never increases the objective over 50 sweeps
@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from fibercpd.cli import cli_main
-from fibercpd.constraints import per_mode
+from fibercpd.constraints import Constraint
 from fibercpd.experiments import (
     SyntheticSpec,
     generate_synthetic,
@@ -37,23 +37,20 @@ from fibercpd.solvers import (
     ascpd_iteration,
     init_state,
     sampled_gradient,
-    sampled_objective,
 )
 from fibercpd.storage import read_run_csv
 from fibercpd.tensor import (
     DenseTensor,
     KruskalModel,
-    fold,
     frob_norm,
-    kr_full,
+    gather_fiber_rows,
     kr_rows,
     mttkrp,
     objective,
-    partial_mttkrp,
     reconstruct,
     row_count,
-    unfold,
 )
+from oracles import fd_sampled_gradient, oracle_kr_full, oracle_unfold
 
 
 def _report(num, name, ok, elapsed, budget=None):
@@ -65,37 +62,6 @@ def _report(num, name, ok, elapsed, budget=None):
 def rel_err(a, b):
     scale = np.linalg.norm(b)
     return np.linalg.norm(np.asarray(a) - np.asarray(b)) / (scale if scale > 0 else 1.0)
-
-
-# --- dense index-walk oracles, independent of the package kernels -----------
-
-
-def oracle_unfold(t, mode):
-    dims = t.dims
-    out = np.zeros((row_count(dims, mode), dims[mode]))
-    arr = t.array
-    for multi in itertools.product(*(range(d) for d in dims)):
-        row, stride = 0, 1
-        for n, idx in enumerate(multi):
-            if n == mode:
-                continue
-            row += idx * stride
-            stride *= dims[n]
-        out[row, multi[mode]] = arr[multi]
-    return out
-
-
-def oracle_kr_full(model, mode):
-    dims = model.dims
-    out = np.zeros((row_count(dims, mode), model.rank))
-    surv = [n for n in range(len(dims)) if n != mode]
-    for row in range(out.shape[0]):
-        rem, prod_row = row, np.ones(model.rank)
-        for n in surv:
-            prod_row = prod_row * model.factors[n][rem % dims[n]]
-            rem //= dims[n]
-        out[row] = prod_row
-    return out
 
 
 def test_criterion_01_kernel_oracle_equivalence():
@@ -112,14 +78,17 @@ def test_criterion_01_kernel_oracle_equivalence():
         for mode in range(order):
             uo = oracle_unfold(t, mode)
             ko = oracle_kr_full(model, mode)
-            worst = max(worst, rel_err(unfold(t, mode), uo))
-            worst = max(worst, rel_err(fold(uo, mode, dims).values, t.values))
             worst = max(worst, rel_err(mttkrp(t, model, mode), uo.T @ ko))
             j = row_count(dims, mode)
             rows = np.unique(rng.integers(0, j, size=min(4, j)))
-            worst = max(worst, rel_err(kr_rows(model, mode, rows), ko[rows]))
-            worst = max(worst, rel_err(partial_mttkrp(t, model, mode, rows),
-                                       uo[rows].T @ ko[rows]))
+            x_f, k_f = uo[rows], ko[rows]
+            worst = max(worst, rel_err(gather_fiber_rows(t, mode, rows), x_f))
+            worst = max(worst, rel_err(kr_rows(model, mode, rows), k_f))
+            at = rng.standard_normal((dims[mode], rank))
+            grad, gram = sampled_gradient(t, model, FiberSample(mode, rows), at)
+            gram_f = k_f.T @ k_f
+            worst = max(worst, rel_err(gram, gram_f))
+            worst = max(worst, rel_err(grad, at @ gram_f - x_f.T @ k_f))
         instances += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -131,7 +100,6 @@ def test_criterion_01_kernel_oracle_equivalence():
 
 def test_criterion_02_gradient_correctness():
     t0 = time.perf_counter()
-    h = 1e-6
     worst_fd, worst_full = 0.0, 0.0
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
@@ -143,20 +111,12 @@ def test_criterion_02_gradient_correctness():
         sample = FiberSample(mode, rows)
         at = rng.random((t.dims[mode], 2))
         grad, _ = sampled_gradient(t, model, sample, at)
-        fd = np.zeros_like(grad)
-        for s in range(at.shape[0]):
-            for r in range(at.shape[1]):
-                plus, minus = at.copy(), at.copy()
-                plus[s, r] += h
-                minus[s, r] -= h
-                fd[s, r] = (sampled_objective(t, model, sample, plus)
-                            - sampled_objective(t, model, sample, minus)) / (2 * h)
-        worst_fd = max(worst_fd, rel_err(grad, fd))
+        worst_fd = max(worst_fd, rel_err(grad, fd_sampled_gradient(t, model, mode, rows, at)))
         # full-fiber sample against the dense full-gradient formula
         all_rows = np.arange(j)
         full_grad, _ = sampled_gradient(t, model, FiberSample(mode, all_rows), at)
-        k = kr_full(model, mode)
-        dense = at @ (k.T @ k) - unfold(t, mode).T @ k
+        k = oracle_kr_full(model, mode)
+        dense = at @ (k.T @ k) - oracle_unfold(t, mode).T @ k
         worst_full = max(worst_full, rel_err(full_grad, dense))
     elapsed = time.perf_counter() - t0
     ok = worst_fd <= 1e-6 and worst_full <= 1e-12 and elapsed < 5.0
@@ -172,12 +132,12 @@ def test_criterion_03_lambda_and_momentum_invariants():
     cond = 10.0
     noisy, _, _ = generate_synthetic(SyntheticSpec((12, 10, 8), 3, snr_db=20.0, seed=303))
     state = init_state(np.random.default_rng(304), noisy.dims, 3, "ascpd")
-    constraints = per_mode("nonneg", 3)
+    constraint = Constraint("nonneg")
     sampler = FiberSampler(noisy.dims, (16, 16, 16), np.random.default_rng(305))
     checked = 0
     ok = True
     for _ in range(10000):
-        est = ascpd_iteration(state, noisy, sampler.draw(), constraints, LocallyOptimal(cond))
+        est = ascpd_iteration(state, noisy, sampler.draw(), constraint, LocallyOptimal(cond))
         if est is None:
             continue
         checked += 1
@@ -197,11 +157,11 @@ def test_criterion_04_als_monotonicity():
     rng = np.random.default_rng(404)
     t = DenseTensor((10, 10, 10), rng.standard_normal(1000))
     state = init_state(np.random.default_rng(405), t.dims, 4, "als")
-    constraints = per_mode("none", 3)
+    constraint = Constraint("none")
     prev = objective(t, state.model)
     ok = True
     for _ in range(50):
-        als_sweep(state, t, constraints)
+        als_sweep(state, t, constraint)
         cur = objective(t, state.model)
         if cur > prev * (1.0 + 1e-10):
             ok = False
@@ -293,8 +253,8 @@ def test_criterion_08_exhaustive_expectation():
             grad, _ = sampled_gradient(t, model, FiberSample(mode, np.array(subset)), at)
             total += grad
             count += 1
-        k = kr_full(model, mode)
-        dense = at @ (k.T @ k) - unfold(t, mode).T @ k
+        k = oracle_kr_full(model, mode)
+        dense = at @ (k.T @ k) - oracle_unfold(t, mode).T @ k
         worst = max(worst, rel_err(total / count, (block / j) * dense))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10

@@ -230,6 +230,7 @@ def test_decompose_echoes_solver_config_defaults(tmp_path):
 
 @pytest.mark.parametrize("kind, name, bad", [
     (LocallyOptimal, "cond", 1.0),
+    (LocallyOptimal, "cond", float("nan")),
     (Diminishing, "alpha", -0.1),
     (Adagrad, "eta", 0.0),
     (Adagrad, "b", -1e-3),

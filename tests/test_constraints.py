@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fibercpd.constraints import Constraint, per_mode
+from fibercpd.constraints import Constraint
 
 matrices = arrays(np.float64, (3, 2),
                   elements=st.floats(-100, 100, allow_nan=False, width=64))
@@ -50,11 +50,3 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         Constraint("simplex")
 
-
-def test_per_mode_broadcast():
-    cs = per_mode("nonneg", 3)
-    assert len(cs) == 3 and all(c.kind == "nonneg" for c in cs)
-    cs = per_mode([Constraint("none"), Constraint("nonneg")], 2)
-    assert [c.kind for c in cs] == ["none", "nonneg"]
-    with pytest.raises(ValueError):
-        per_mode([Constraint("none")], 2)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercpd.constraints import Constraint, per_mode
+from fibercpd.constraints import Constraint
 from fibercpd.experiments import (
     SyntheticSpec,
     generate_synthetic,
@@ -281,10 +281,9 @@ def test_metric_rejects_incompatible_model():
 def test_metric_reuses_als_last_mttkrp(constraint):
     noisy, _, _ = generate_synthetic(SyntheticSpec((6, 7, 5, 4), 3, snr_db=10.0, seed=8))
     state = init_state(np.random.default_rng(9), noisy.dims, 3, "als")
-    constraints = per_mode(Constraint(constraint), noisy.order)
     norm_sq = squared_norm(noisy)
     for _ in range(3):
-        last = als_sweep(state, noisy, constraints)
+        last = als_sweep(state, noisy, Constraint(constraint))
         np.testing.assert_array_equal(last, mttkrp(noisy, state.model, noisy.order - 1))
         reused = metric(noisy, state.model, norm_sq, last)
         assert reused == metric(noisy, state.model)
@@ -297,9 +296,8 @@ def test_run_als_checkpoints_match_exact_metric():
     rec = run(noisy, SolverConfig("als", 2, max_full_iters=4, seed=3))
     state = init_state(np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1,))),
                        noisy.dims, 2, "als")
-    constraints = per_mode(Constraint("none"), noisy.order)
     for cp in rec.checkpoints:
         if cp.full_iter:
-            als_sweep(state, noisy, constraints)
+            als_sweep(state, noisy, Constraint("none"))
         exact = exact_metric(noisy, state.model)
         assert abs(cp.m - exact) <= 1e-12 * exact

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fibercpd.constraints import Constraint, per_mode
+from fibercpd.constraints import Constraint
 from fibercpd.experiments import SyntheticSpec, generate_synthetic
 from fibercpd.sampling import FiberSample, FiberSampler
 from fibercpd.solvers import (
@@ -23,21 +23,19 @@ from fibercpd.solvers import (
     init_state,
     lambda_rule,
     sampled_gradient,
-    sampled_objective,
     spg_iteration,
 )
 from fibercpd.tensor import (
     DenseTensor,
     KruskalModel,
-    kr_full,
     mttkrp,
     objective,
     row_count,
-    unfold,
 )
+from oracles import fd_sampled_gradient, oracle_kr_full, oracle_unfold
 
-UNCON = per_mode("none", 3)
-NONNEG = per_mode("nonneg", 3)
+UNCON = Constraint("none")
+NONNEG = Constraint("nonneg")
 
 
 def full_gradient(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
@@ -53,19 +51,6 @@ def random_problem(seed, dims=(4, 3, 2), rank=2, noisy=True):
         from fibercpd.tensor import reconstruct
         t = reconstruct(model)
     return t, model
-
-
-def fd_gradient(t, model, sample, at, h=1e-6):
-    """Central finite differences of the sampled objective, entry by entry."""
-    grad = np.zeros_like(at)
-    for s in range(at.shape[0]):
-        for r in range(at.shape[1]):
-            plus, minus = at.copy(), at.copy()
-            plus[s, r] += h
-            minus[s, r] -= h
-            grad[s, r] = (sampled_objective(t, model, sample, plus)
-                          - sampled_objective(t, model, sample, minus)) / (2 * h)
-    return grad
 
 
 def char_poly_eigs_3x3(m):
@@ -92,8 +77,8 @@ def test_sampled_gradient_full_fibers_equals_full_gradient():
         rows = np.arange(row_count(t.dims, mode))
         sample = FiberSample(mode, rows)
         grad, gram = sampled_gradient(t, model, sample, model.factors[mode])
-        k = kr_full(model, mode)
-        expected = model.factors[mode] @ (k.T @ k) - unfold(t, mode).T @ k
+        k = oracle_kr_full(model, mode)
+        expected = model.factors[mode] @ (k.T @ k) - oracle_unfold(t, mode).T @ k
         assert np.linalg.norm(grad - expected) <= 1e-12 * max(np.linalg.norm(expected), 1.0)
         assert np.linalg.norm(grad - full_gradient(t, model, mode)) \
             <= 1e-12 * max(np.linalg.norm(expected), 1.0)
@@ -112,7 +97,7 @@ def test_sampled_gradient_matches_finite_differences():
     sample = FiberSample(0, np.array([0, 2]))
     at = np.random.default_rng(3).random((4, 2))
     grad, _ = sampled_gradient(t, model, sample, at)
-    fd = fd_gradient(t, model, sample, at)
+    fd = fd_sampled_gradient(t, model, sample.mode, sample.indices, at)
     assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -187,11 +172,6 @@ def test_lambda_rule_zero_mu():
     assert lambda_rule(5.0, 0.0, 10.0) == 0.5
 
 
-def test_lambda_rule_rejects_bad_cond():
-    with pytest.raises(ValueError):
-        lambda_rule(1.0, 0.5, 1.0)
-
-
 def test_lambda_rule_caps_condition_number():
     rng = np.random.default_rng(7)
     for cond in (2.0, 10.0, 1e3):
@@ -238,8 +218,8 @@ def test_ascpd_iteration_matches_scripted_update():
 
     est = ascpd_iteration(state, t, sample, NONNEG, LocallyOptimal(cond))
 
-    k = kr_full(model_before, mode)[sample.indices]
-    x = unfold(t, mode)[sample.indices]
+    k = oracle_kr_full(model_before, mode)[sample.indices]
+    x = oracle_unfold(t, mode)[sample.indices]
     gram = k.T @ k
     grad = y_old @ gram - x.T @ k
     w = np.linalg.eigvalsh(gram)
@@ -294,8 +274,8 @@ def test_spg_iteration_matches_scripted_update():
 
     spg_iteration(state, t, sample, NONNEG, LocallyOptimal(cond))
 
-    k = kr_full(model_before, mode)[sample.indices]
-    x = unfold(t, mode)[sample.indices]
+    k = oracle_kr_full(model_before, mode)[sample.indices]
+    x = oracle_unfold(t, mode)[sample.indices]
     gram = k.T @ k
     grad = a_old @ gram - x.T @ k
     w = np.linalg.eigvalsh(gram)
@@ -326,8 +306,8 @@ def test_brascpd_iteration_matches_scripted_update():
 
     brascpd_iteration(state, t, sample, NONNEG, schedule)
 
-    k = kr_full(model_before, mode)[sample.indices]
-    x = unfold(t, mode)[sample.indices]
+    k = oracle_kr_full(model_before, mode)[sample.indices]
+    x = oracle_unfold(t, mode)[sample.indices]
     grad = a_old @ (k.T @ k) - x.T @ k
     alpha_1 = 0.05 / 1.0 ** 0.3
     a_new = np.maximum(a_old - (alpha_1 / 3) * grad, 0.0)
@@ -360,8 +340,8 @@ def test_adacpd_iteration_matches_scripted_update():
 
     adacpd_iteration(state, t, sample, NONNEG, schedule)
 
-    k = kr_full(model_before, mode)[sample.indices]
-    x = unfold(t, mode)[sample.indices]
+    k = oracle_kr_full(model_before, mode)[sample.indices]
+    x = oracle_unfold(t, mode)[sample.indices]
     grad = a_old @ (k.T @ k) - x.T @ k
     acc = grad * grad
     a_new = np.maximum(a_old - 0.5 * grad / (1e-6 + acc) ** (0.5 + 1e-6), 0.0)
@@ -461,7 +441,7 @@ def test_iteration_never_writes_into_arrays_it_replaces(solver, kind):
         if state.extrapolation is not None:
             held += state.extrapolation.factors
         snapshot = [f.copy() for f in held]
-        iteration(state, t, sampler.draw(), per_mode(kind, 3), schedule)
+        iteration(state, t, sampler.draw(), Constraint(kind), schedule)
         for f, before in zip(held, snapshot):
             assert np.array_equal(f, before)
         if state.extrapolation is not None:
@@ -487,10 +467,10 @@ def test_nonneg_constraint_holds_after_every_iteration():
 
 def test_als_exact_model_is_fixed_point():
     t, model = random_problem(41, noisy=False)
-    for constraints in (UNCON, NONNEG):
+    for constraint in (UNCON, NONNEG):
         state = make_state(42, t, 2, "als")
         state.model = model.copy()
-        als_sweep(state, t, constraints)
+        als_sweep(state, t, constraint)
         assert objective(t, state.model) <= 1e-18
 
 
@@ -512,8 +492,8 @@ def test_als_unconstrained_sweep_matches_sequential_pinv_oracle():
     als_sweep(state, t, UNCON)
     # oracle: per-mode pseudoinverse solve, reusing updated factors in order
     for mode in range(3):
-        k = kr_full(oracle, mode)
-        oracle.factors[mode] = (np.linalg.pinv(k) @ unfold(t, mode)).T
+        k = oracle_kr_full(oracle, mode)
+        oracle.factors[mode] = (np.linalg.pinv(k) @ oracle_unfold(t, mode)).T
     for mode in range(3):
         scale = max(np.linalg.norm(oracle.factors[mode]), 1.0)
         assert np.linalg.norm(state.model.factors[mode] - oracle.factors[mode]) <= 1e-10 * scale
@@ -586,5 +566,5 @@ def test_init_state_shapes_and_ranges():
 def test_hadamard_gram_matches_dense():
     _, model = random_problem(52)
     for mode in range(3):
-        k = kr_full(model, mode)
+        k = oracle_kr_full(model, mode)
         np.testing.assert_allclose(hadamard_gram(model, skip=mode), k.T @ k, rtol=1e-12)

@@ -10,7 +10,6 @@ from fibercpd.storage import (
     read_factors,
     read_run_csv,
     read_tensor,
-    write_average_csv,
     write_factors,
     write_run_csv,
     write_tensor,
@@ -162,7 +161,7 @@ def test_average_csv_layout(tmp_path):
     path = tmp_path / "avg.csv"
     rec = RunRecord("spg", 1, None, [Checkpoint(0, 0, 1.0, 0.0)])
     rec2 = RunRecord("ascpd", 1, None, [Checkpoint(0, 0, 0.5, 0.0)])
-    write_average_csv(path, {"spg": rec, "ascpd": rec2}, config_echo={"trials": 10})
+    write_run_csv(path, [rec, rec2], {"trials": 10}, column="solver")
     lines = path.read_text().splitlines()
     assert lines[0] == "# trials=10"
     assert lines[1] == "solver,full_iter,work_units,m_k,wall_seconds"

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,57 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibercpd.sampling import FiberSample
+from fibercpd.solvers import sampled_gradient
 from fibercpd.tensor import (
     DenseTensor,
     KruskalModel,
-    fold,
     frob_norm,
     gather_fiber_rows,
     khatri_rao,
-    kr_full,
     kr_rows,
     mttkrp,
     objective,
-    partial_mttkrp,
     reconstruct,
     relative_error,
     row_count,
-    unfold,
 )
-
-# ---------------------------------------------------------------------------
-# brute-force oracles: index-walk implementations, independent of the kernels
-# ---------------------------------------------------------------------------
+from oracles import oracle_kr_full, oracle_unfold
 
 
-def oracle_unfold(t: DenseTensor, mode: int) -> np.ndarray:
-    """Walk every multi-index and place the entry by the row-stride formula."""
-    dims = t.dims
-    out = np.zeros((row_count(dims, mode), dims[mode]))
-    arr = t.array
-    for multi in itertools.product(*(range(d) for d in dims)):
-        row, stride = 0, 1
-        for n, idx in enumerate(multi):
-            if n == mode:
-                continue
-            row += idx * stride
-            stride *= dims[n]
-        out[row, multi[mode]] = arr[multi]
-    return out
+def all_rows(dims, mode):
+    return np.arange(row_count(dims, mode))
 
 
-def oracle_kr_full(model: KruskalModel, mode: int) -> np.ndarray:
-    dims = model.dims
-    out = np.zeros((row_count(dims, mode), model.rank))
-    surv = [n for n in range(len(dims)) if n != mode]
-    for row in range(out.shape[0]):
-        rem, prod_row = row, np.ones(model.rank)
-        for n in surv:
-            idx = rem % dims[n]
-            rem //= dims[n]
-            prod_row = prod_row * model.factors[n][idx]
-        out[row] = prod_row
-    return out
+def sampled_mttkrp(t, model, mode, rows):
+    """X_F^T K_F over the fiber rows `rows`, as the solvers compute it: minus the
+    sampled gradient at zero."""
+    sample = FiberSample(mode, np.asarray(rows, dtype=np.int64))
+    return -sampled_gradient(t, model, sample, np.zeros((t.dims[mode], model.rank)))[0]
 
 
 def random_instance(rng, dims, rank):
@@ -70,18 +45,15 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / (denom if denom else 1.0)
 
 
-dims_strategy = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
-
-
 # ---------------------------------------------------------------------------
-# unfold / fold
+# the mode unfolding, gathered fiber row by fiber row
 # ---------------------------------------------------------------------------
 
 
 def test_unfold_known_2x2x2():
     t = DenseTensor((2, 2, 2), np.arange(1.0, 9.0))
     expected = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(unfold(t, 0), expected)
+    np.testing.assert_array_equal(gather_fiber_rows(t, 0, all_rows(t.dims, 0)), expected)
 
 
 def test_unfold_matches_index_walk_oracle():
@@ -89,66 +61,44 @@ def test_unfold_matches_index_walk_oracle():
     for dims in [(2, 3), (3, 4, 5), (2, 3, 2, 4)]:
         t = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
         for mode in range(len(dims)):
-            np.testing.assert_array_equal(unfold(t, mode), oracle_unfold(t, mode))
+            np.testing.assert_array_equal(gather_fiber_rows(t, mode, all_rows(dims, mode)),
+                                          oracle_unfold(t, mode))
 
 
 def test_unfold_zero_tensor():
     t = DenseTensor((3, 4, 5), np.zeros(60))
-    np.testing.assert_array_equal(unfold(t, 1), np.zeros((15, 4)))
+    np.testing.assert_array_equal(gather_fiber_rows(t, 1, all_rows(t.dims, 1)),
+                                  np.zeros((15, 4)))
 
 
 def test_unfold_mode_out_of_range():
     t = DenseTensor((2, 2), np.zeros(4))
     with pytest.raises(ValueError):
-        unfold(t, 2)
+        gather_fiber_rows(t, 2, [0])
     with pytest.raises(ValueError):
-        unfold(t, -1)
+        gather_fiber_rows(t, -1, [0])
 
 
 def test_unfold_leaves_source_unchanged():
     rng = np.random.default_rng(1)
     t = DenseTensor((2, 3, 4), rng.standard_normal(24))
     before = t.values.copy()
-    m = unfold(t, 1)
+    m = gather_fiber_rows(t, 1, all_rows(t.dims, 1))
     m[0, 0] = 999.0
     np.testing.assert_array_equal(t.values, before)
 
 
-def test_fold_known_inverse():
-    m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-    t = fold(m, 0, (2, 2, 2))
-    np.testing.assert_array_equal(t.values, np.arange(1.0, 9.0))
-
-
-def test_fold_scalar():
-    t = fold(np.array([[7.0]]), 0, (1, 1, 1))
-    assert t.values[0] == 7.0
-
-
-def test_fold_shape_mismatch():
-    with pytest.raises(ValueError):
-        fold(np.zeros((3, 2)), 0, (2, 2, 2))
-
-
-def test_fold_unfold_roundtrip_random_234():
-    rng = np.random.default_rng(2)
-    t = DenseTensor((2, 3, 4), rng.standard_normal(24))
-    assert np.array_equal(fold(unfold(t, 2), 2, t.dims).values, t.values)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dims=dims_strategy, data=st.data())
-def test_fold_unfold_roundtrip_property(dims, data):
-    mode = data.draw(st.integers(0, len(dims) - 1))
-    seed = data.draw(st.integers(0, 2**31 - 1))
-    rng = np.random.default_rng(seed)
-    t = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
-    back = fold(unfold(t, mode), mode, dims)
-    np.testing.assert_array_equal(back.values, t.values)
+def test_gather_fiber_rows_matches_unfold():
+    rng = np.random.default_rng(13)
+    t = DenseTensor((3, 4, 2), rng.standard_normal(24))
+    for mode in range(3):
+        full = oracle_unfold(t, mode)
+        rows = np.array([0, 2, row_count(t.dims, mode) - 1])
+        np.testing.assert_array_equal(gather_fiber_rows(t, mode, rows), full[rows])
 
 
 # ---------------------------------------------------------------------------
-# khatri_rao / kr_full / kr_rows
+# khatri_rao / kr_rows
 # ---------------------------------------------------------------------------
 
 
@@ -177,12 +127,12 @@ def test_kr_full_mode_ordering_three_way():
     model = KruskalModel([rng.standard_normal((d, 2)) for d in (2, 3, 4)])
     # dropping the middle mode leaves last-times-first, last mode slowest
     expected = khatri_rao(model.factors[2], model.factors[0])
-    np.testing.assert_array_equal(kr_full(model, 1), expected)
+    np.testing.assert_array_equal(kr_rows(model, 1, all_rows(model.dims, 1)), expected)
 
 
 def test_kr_full_rank1_ones():
     model = KruskalModel([np.ones((d, 1)) for d in (2, 3, 4)])
-    np.testing.assert_array_equal(kr_full(model, 0), np.ones((12, 1)))
+    np.testing.assert_array_equal(kr_rows(model, 0, all_rows(model.dims, 0)), np.ones((12, 1)))
 
 
 def test_kr_full_matches_oracle():
@@ -190,7 +140,8 @@ def test_kr_full_matches_oracle():
     for dims in [(2, 3, 4), (3, 2, 2, 3)]:
         model = KruskalModel([rng.standard_normal((d, 3)) for d in dims])
         for mode in range(len(dims)):
-            assert rel_err(kr_full(model, mode), oracle_kr_full(model, mode)) < 1e-15
+            full = kr_rows(model, mode, all_rows(dims, mode))
+            assert rel_err(full, oracle_kr_full(model, mode)) < 1e-15
 
 
 def test_kr_rows_known_rank1():
@@ -205,9 +156,8 @@ def test_kr_rows_full_set_bitwise_equal():
     for dims in [(2, 3, 4), (2, 2, 3, 2)]:
         model = KruskalModel([rng.standard_normal((d, 3)) for d in dims])
         for mode in range(len(dims)):
-            full = kr_full(model, mode)
-            rows = kr_rows(model, mode, np.arange(full.shape[0]))
-            assert np.array_equal(rows, full)
+            rows = kr_rows(model, mode, all_rows(dims, mode))
+            assert np.array_equal(rows, oracle_kr_full(model, mode))
 
 
 def test_kr_rows_empty():
@@ -218,7 +168,7 @@ def test_kr_rows_empty():
 def test_kr_rows_single_row_matches_kr_full():
     rng = np.random.default_rng(7)
     model = KruskalModel([rng.standard_normal((d, 2)) for d in (3, 2, 4)])
-    full = kr_full(model, 2)
+    full = oracle_kr_full(model, 2)
     for j in (0, 2, 5):
         np.testing.assert_array_equal(kr_rows(model, 2, [j])[0], full[j])
 
@@ -230,7 +180,7 @@ def test_kr_rows_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# mttkrp / partial_mttkrp
+# mttkrp / the sampled MTTKRP X_F^T K_F
 # ---------------------------------------------------------------------------
 
 
@@ -255,7 +205,7 @@ def test_mttkrp_equals_partition_sum():
         j = row_count(t.dims, mode)
         perm = rng.permutation(j)
         parts = np.array_split(perm, 3)
-        total = sum(partial_mttkrp(t, model, mode, p) for p in parts)
+        total = sum(sampled_mttkrp(t, model, mode, p) for p in parts)
         assert rel_err(total, mttkrp(t, model, mode)) < 1e-12
 
 
@@ -263,14 +213,14 @@ def test_partial_mttkrp_full_rows_equals_mttkrp():
     rng = np.random.default_rng(10)
     t, model = random_instance(rng, (4, 3, 2), 2)
     for mode in range(3):
-        rows = np.arange(row_count(t.dims, mode))
-        assert rel_err(partial_mttkrp(t, model, mode, rows), mttkrp(t, model, mode)) < 1e-12
+        rows = all_rows(t.dims, mode)
+        assert rel_err(sampled_mttkrp(t, model, mode, rows), mttkrp(t, model, mode)) < 1e-12
 
 
 def test_partial_mttkrp_empty_rows():
     rng = np.random.default_rng(11)
     t, model = random_instance(rng, (4, 3, 2), 2)
-    np.testing.assert_array_equal(partial_mttkrp(t, model, 0, []), np.zeros((4, 2)))
+    np.testing.assert_array_equal(sampled_mttkrp(t, model, 0, []), np.zeros((4, 2)))
 
 
 def test_partial_mttkrp_matches_dense_slice_oracle():
@@ -279,16 +229,7 @@ def test_partial_mttkrp_matches_dense_slice_oracle():
     for mode in range(3):
         rows = np.array([1, 5])
         expected = oracle_unfold(t, mode)[rows].T @ oracle_kr_full(model, mode)[rows]
-        assert rel_err(partial_mttkrp(t, model, mode, rows), expected) < 1e-12
-
-
-def test_gather_fiber_rows_matches_unfold():
-    rng = np.random.default_rng(13)
-    t = DenseTensor((3, 4, 2), rng.standard_normal(24))
-    for mode in range(3):
-        full = unfold(t, mode)
-        rows = np.array([0, 2, row_count(t.dims, mode) - 1])
-        np.testing.assert_array_equal(gather_fiber_rows(t, mode, rows), full[rows])
+        assert rel_err(sampled_mttkrp(t, model, mode, rows), expected) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,7 +242,7 @@ def test_partial_mttkrp_partition_property(dims, data):
     j = row_count(dims, mode)
     cut = data.draw(st.integers(0, j))
     part_a, part_b = np.arange(cut), np.arange(cut, j)
-    total = partial_mttkrp(t, model, mode, part_a) + partial_mttkrp(t, model, mode, part_b)
+    total = sampled_mttkrp(t, model, mode, part_a) + sampled_mttkrp(t, model, mode, part_b)
     assert rel_err(total, mttkrp(t, model, mode)) < 1e-12
 
 
@@ -322,8 +263,9 @@ def test_reconstruct_unfolding_identity():
     model = KruskalModel([rng.standard_normal((d, 3)) for d in (3, 4, 2)])
     t = reconstruct(model)
     for mode in range(3):
-        lhs = unfold(t, mode)
-        rhs = kr_full(model, mode) @ model.factors[mode].T
+        rows = all_rows(t.dims, mode)
+        lhs = gather_fiber_rows(t, mode, rows)
+        rhs = kr_rows(model, mode, rows) @ model.factors[mode].T
         assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -346,7 +288,7 @@ def test_objective_invariant_across_unfoldings():
     reference = objective(t, model)
     for mode in range(3):
         via_unfold = np.linalg.norm(
-            unfold(t, mode) - kr_full(model, mode) @ model.factors[mode].T) ** 2
+            oracle_unfold(t, mode) - oracle_kr_full(model, mode) @ model.factors[mode].T) ** 2
         assert abs(via_unfold - reference) <= 1e-10 * reference
 
 
