@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .constraints import CONSTRAINT_KINDS
 from .experiments import SyntheticSpec, generate_synthetic, run, run_trials
@@ -18,12 +15,12 @@ from .solvers import SCHEDULES, SOLVERS, SolverConfig
 from .storage import (
     FileFormatError,
     config_echo,
+    read_raw64,
     read_tensor,
     write_factors,
     write_run_csv,
     write_tensor,
 )
-from .tensor import DenseTensor
 
 # each schedule type once, in solver order; every field of one is a
 # hyperparameter with a `decompose` flag and a bench JSON key of its name
@@ -186,14 +183,14 @@ def _ints(value) -> bool:
 # as floats, and null leaves a NULLABLE key (one whose absence means None) unset
 BENCH_KEYS = {
     "solvers": ("a list of solver names",
-                lambda v: isinstance(v, (str, list)) and all(isinstance(s, str) for s in v)),
+                lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
     "dims": ("a list of integers", _ints),
     "block": ("an integer or a list of integers", lambda v: _int(v) or _ints(v)),
     "trials": ("an integer >= 1", lambda v: _int(v) and v >= 1),
     **dict.fromkeys(("rank", "seed", "max_full_iters"), ("an integer", _int)),
     **dict.fromkeys(("snr_db", "tol", *HYPERPARAMETERS),
                     ("a number", lambda v: _int(v) or isinstance(v, float))),
-    **dict.fromkeys(("solver", "input", "constraint", "out_dir"),
+    **dict.fromkeys(("input", "constraint", "out_dir"),
                     ("a string", lambda v: isinstance(v, str))),
 }
 NULLABLE = {"dims", "input", "block", "snr_db", "tol", *HYPERPARAMETERS}
@@ -224,8 +221,7 @@ def read_bench_config(path: Path) -> dict:
 
 def cmd_bench(args) -> int:
     given = read_bench_config(Path(args.config))
-    solvers = given.get("solvers", given.get("solver", ()))
-    configs = solver_configs((solvers,) if isinstance(solvers, str) else solvers, given)
+    configs = solver_configs(given.get("solvers", ()), given)
     data, extra = resolve_data(given, configs[0])
     trials = given.get("trials", 1)
     extra["trials"] = trials
@@ -244,17 +240,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    src = Path(args.input)
-    if not src.is_file():
-        raise ValueError(f"input not found: {src}")
-    values = np.fromfile(src, dtype="<f8")
-    expected = math.prod(args.dims)
-    if values.size != expected:
-        raise ValueError(f"{src}: found {values.size} float64 values, dims "
-                         f"{args.dims} require {expected}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{src}: payload contains non-finite values")
-    write_tensor(DenseTensor(args.dims, values), args.out)
+    write_tensor(read_raw64(args.input, args.dims), args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -1,7 +1,7 @@
-"""On-disk formats: the DTEN tensor container, the DFAC factor container,
-and the CSV metric traces.
+"""On-disk formats: the DTEN tensor container, the raw64 dump that `convert`
+wraps, the DFAC factor container that `synth` writes, and the CSV metric traces.
 
-DTEN layout (little-endian throughout):
+DTEN layout (little-endian throughout); a raw64 dump is its payload alone:
     bytes 0-3   magic "DTEN"
     bytes 4-5   format version, u16 (currently 1)
     bytes 6-7   order N, u16
@@ -54,10 +54,23 @@ def write_tensor(t: DenseTensor, path) -> None:
     Path(path).write_bytes(header + t.values.astype("<f8", copy=False).tobytes())
 
 
+def _read_payload(f, path, dims) -> np.ndarray:
+    """The rest of the open file `f` as the float64 values of a tensor of `dims`:
+    exactly 8 * prod(dims) bytes, every value finite."""
+    count = math.prod(dims)
+    payload = os.fstat(f.fileno()).st_size - f.tell()
+    if payload != 8 * count:
+        raise FileFormatError(f"{path}: payload length {payload} bytes does not "
+                              f"match dims {dims}, which require {8 * count}")
+    values = np.fromfile(f, dtype="<f8", count=count)
+    if not np.isfinite(values).all():
+        raise FileFormatError(f"{path}: payload contains non-finite values")
+    return values
+
+
 def read_tensor(path) -> DenseTensor:
     """Load a DTEN file: the header from a short read, the payload in one copy."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
         head = f.read(8)
         if len(head) < 8:
             raise FileFormatError(f"{path}: truncated header")
@@ -74,15 +87,13 @@ def read_tensor(path) -> DenseTensor:
         dims = tuple(int(d) for d in np.frombuffer(dims_raw, dtype="<u8"))
         if any(d < 1 for d in dims):
             raise FileFormatError(f"{path}: nonpositive dim in {dims}")
-        count = math.prod(dims)
-        payload = size - 8 - 8 * order
-        if payload != 8 * count:
-            raise FileFormatError(f"{path}: payload length {payload} bytes does not "
-                                  f"match dims {dims} (expected {8 * count})")
-        values = np.fromfile(f, dtype="<f8", count=count)
-    if not np.isfinite(values).all():
-        raise FileFormatError(f"{path}: payload contains non-finite values")
-    return DenseTensor(dims, values)
+        return DenseTensor(dims, _read_payload(f, path, dims))
+
+
+def read_raw64(path, dims) -> DenseTensor:
+    """Load a raw64 dump (a headerless DTEN payload) as a tensor of `dims`."""
+    with open(path, "rb") as f:
+        return DenseTensor(dims, _read_payload(f, path, dims))
 
 
 def write_factors(model: KruskalModel, path) -> None:
@@ -91,32 +102,6 @@ def write_factors(model: KruskalModel, path) -> None:
     body = b"".join(f.astype("<f8", copy=False).ravel(order="F").tobytes()
                     for f in model.factors)
     Path(path).write_bytes(header + body)
-
-
-def read_factors(path) -> KruskalModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FileFormatError(f"{path}: truncated header")
-    magic, version, order, rank = struct.unpack("<4sHHQ", raw[:16])
-    if magic != FACTOR_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format version {version}")
-    dims_end = 16 + 8 * order
-    if len(raw) < dims_end:
-        raise FileFormatError(f"{path}: truncated dims block")
-    dims = tuple(int(d) for d in np.frombuffer(raw[16:dims_end], dtype="<u8"))
-    expected = dims_end + 8 * int(rank) * sum(dims)
-    if len(raw) != expected:
-        raise FileFormatError(f"{path}: payload length mismatch")
-    factors = []
-    offset = dims_end
-    for d in dims:
-        count = d * int(rank)
-        block = np.frombuffer(raw[offset:offset + 8 * count], dtype="<f8")
-        factors.append(block.reshape((d, int(rank)), order="F").copy())
-        offset += 8 * count
-    return KruskalModel(factors)
 
 
 def _fmt(value) -> str:

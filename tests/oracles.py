@@ -4,9 +4,13 @@
 Khatri-Rao product entry by entry from the row-stride formula of the layout
 convention (see `fibercpd.tensor`); `fd_sampled_gradient` differentiates the
 sampled objective built from them by central finite differences.
+`read_dfac` parses the factor sidecar that `synth` writes by its documented
+layout; the package itself has no reader for it.
 """
 
 import itertools
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -62,3 +66,19 @@ def fd_sampled_gradient(t: DenseTensor, model: KruskalModel, mode: int, rows,
         minus[s, r] -= h
         grad[s, r] = (objective(plus) - objective(minus)) / (2 * h)
     return grad
+
+
+def read_dfac(path) -> KruskalModel:
+    """A DFAC file by its documented layout: magic "DFAC", u16 version 1, u16
+    order N, u64 rank R, N u64 dims, then each I_n x R factor column-major."""
+    raw = Path(path).read_bytes()
+    magic, version, order, rank = struct.unpack_from("<4sHHQ", raw)
+    assert (magic, version) == (b"DFAC", 1)
+    dims = struct.unpack_from(f"<{order}Q", raw, 16)
+    offset, factors = 16 + 8 * order, []
+    for d in dims:
+        block = np.frombuffer(raw, dtype="<f8", count=d * rank, offset=offset)
+        factors.append(block.reshape((d, rank), order="F"))
+        offset += 8 * d * rank
+    assert offset == len(raw), "DFAC payload length"
+    return KruskalModel(factors)

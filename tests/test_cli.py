@@ -7,9 +7,18 @@ import pytest
 
 from fibercpd.cli import cli_main
 from fibercpd.experiments import SyntheticSpec, generate_synthetic
-from fibercpd.solvers import Adagrad, Diminishing, LocallyOptimal, SolverConfig
-from fibercpd.storage import read_factors, read_run_csv, read_tensor, write_tensor
+from fibercpd.sampling import FiberSampler
+from fibercpd.solvers import (
+    Adagrad,
+    Diminishing,
+    LocallyOptimal,
+    SolverConfig,
+    full_iteration_cost,
+    init_state,
+)
+from fibercpd.storage import read_run_csv, read_tensor, write_tensor
 from fibercpd.tensor import DenseTensor, reconstruct
+from oracles import read_dfac
 
 
 def rows_without_wall(path):
@@ -25,7 +34,7 @@ def test_synth_writes_tensor_truth_and_meta(tmp_path):
     assert code == 0
     tensor = read_tensor(out)
     assert tensor.dims == (4, 3, 2)
-    truth = read_factors(str(out) + ".truth.dfac")
+    truth = read_dfac(str(out) + ".truth.dfac")
     np.testing.assert_allclose(reconstruct(truth).values, tensor.values, rtol=1e-12)
     meta = json.loads((tmp_path / "x.dten.meta.json").read_text())
     assert meta["rank"] == 2 and meta["snr_db"] is None and meta["sigma"] == 0.0
@@ -117,6 +126,26 @@ def test_convert_wrong_count(tmp_path, capsys):
     assert "require" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stray, bad, message", [
+    *((k, None, f"payload length {64 + k} bytes does not match dims (2, 2, 2), which require 64")
+      for k in range(1, 8)),
+    (0, float("nan"), "payload contains non-finite values"),
+    (0, float("inf"), "payload contains non-finite values"),
+])
+def test_convert_rejects_bad_payload(tmp_path, capsys, stray, bad, message):
+    values = np.arange(8.0)
+    if bad is not None:
+        values[3] = bad
+    raw_path = tmp_path / "cube.raw"
+    raw_path.write_bytes(values.astype("<f8").tobytes() + bytes(stray))
+    out = tmp_path / "c.dten"
+    code = cli_main(["convert", "--from", "raw64", "--dims", "2,2,2",
+                     "--in", str(raw_path), "--out", str(out)])
+    assert code == 1
+    assert f"error: {raw_path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_writes_per_solver_and_average(tmp_path):
     cfg = {
         "solvers": ["ascpd", "als"],
@@ -185,13 +214,6 @@ def test_run_settings_validation(tmp_path, capsys):
     assert "error: rank is required" in capsys.readouterr().err
 
 
-def test_bench_single_solver_string(tmp_path):
-    assert run_bench(tmp_path, {"solver": "als", "rank": 3, "dims": [4, 4, 4],
-                                "max_full_iters": 1, "out_dir": str(tmp_path / "b")}) == 0
-    echo, _ = read_run_csv(tmp_path / "b" / "als.csv")
-    assert echo["solver"] == "als" and echo["rank"] == "3"
-
-
 @pytest.mark.parametrize("config, message", [
     ({"dims": 5}, "error: dims must be a list of integers, got 5"),
     ({"seed": None}, "error: seed must be an integer, got null"),
@@ -203,6 +225,8 @@ def test_bench_single_solver_string(tmp_path):
     ({"block": 0}, "error: blocksizes must be >= 1"),
     ({"constraint": "box"}, "error: unknown constraint kind 'box'"),
     ([1, 2], "error: <cfg>: the config must be a JSON object"),
+    ({"solvers": "als"}, 'error: solvers must be a list of solver names'),
+    ({"solver": "als"}, "error: unknown config keys: ['solver']"),
 ])
 def test_bench_rejects_malformed_config(tmp_path, capsys, config, message):
     if isinstance(config, dict):
@@ -295,3 +319,25 @@ def test_blocksize_count_checked_before_any_trial(tmp_path, capsys, solver):
     assert run_bench(tmp_path, config) == 1
     assert "error: need 3 blocksizes, got 2" in capsys.readouterr().err
     assert not (tmp_path / "bench").exists()
+
+
+def test_decompose_per_mode_blocksizes(tmp_path):
+    dims, block, seed = (4, 5, 6), (2, 3, 4), 3
+    tensor = tmp_path / "x.dten"
+    assert cli_main(["synth", "--dims", "4,5,6", "--rank", "2", "--seed", "1",
+                     "--out", str(tensor)]) == 0
+    csv_path = tmp_path / "o.csv"
+    assert cli_main(["decompose", "--in", str(tensor), "--solver", "ascpd", "--rank", "2",
+                     "--block", "2,3,4", "--seed", str(seed), "--max-full-iters", "1",
+                     "--csv", str(csv_path)]) == 0
+    echo, rows = read_run_csv(csv_path)
+    assert echo["block"] == "2,3,4"
+    # replay the run's stream: each draw touches block[mode] * dims[mode] entries
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    init_state(rng, dims, 2, "ascpd")
+    sampler = FiberSampler(dims, block, rng)
+    work = 0
+    while work < full_iteration_cost(dims):
+        mode = sampler.draw().mode
+        work += block[mode] * dims[mode]
+    assert int(rows[1]["work_units"]) == work

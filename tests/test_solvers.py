@@ -510,6 +510,33 @@ def test_als_constrained_sweep_stays_feasible_and_improves():
     assert objective(t, state.model) < start
 
 
+def test_als_singular_gram_takes_ridge_repair():
+    # a column that is zero in every factor makes every mode's Gram singular
+    t, model = random_problem(51, dims=(5, 4, 3), rank=3)
+    for f in model.factors:
+        f[:, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(hadamard_gram(model, skip=0), mttkrp(t, model, 0).T)
+    state = make_state(52, t, 3, "als")
+    state.model = model
+    als_sweep(state, t, UNCON)
+    for f in state.model.factors:
+        assert np.isfinite(f).all()
+        assert np.all(f[:, 1] == 0.0)
+
+
+def test_als_constrained_zero_gram_leaves_factor():
+    # factors 1 and 2 all zero: mode 0's Gram is zero, so L = 0 and no step is taken
+    t, model = random_problem(53, dims=(5, 4, 3), rank=2)
+    model.factors[1][:] = 0.0
+    model.factors[2][:] = 0.0
+    before = model.factors[0].copy()
+    state = make_state(54, t, 2, "als")
+    state.model = model
+    als_sweep(state, t, NONNEG)
+    assert np.array_equal(state.model.factors[0], before)
+
+
 def test_als_work_charged_per_sweep():
     t, _ = random_problem(49)
     state = make_state(50, t, 2, "als")
