@@ -13,6 +13,11 @@ One stochastic iteration updates a single factor matrix from a fiber sample:
              objective is regularized by lambda/2 * ||A - A_k||^2 so the
              condition number L_bar/mu_bar stays below the target.
 
+spg and ascpd need the sampled Gram's L and mu only through the lambda rule.
+Where two Rayleigh quotients prove its cap branch, `_cap_bounds` takes L from
+a Collatz-Wielandt bracket and mu = 0 instead of a full eigensolve (nonneg
+factors at the paper's cell); elsewhere both are `eigen_extremes`' exact values.
+
 `als_sweep` is the full-batch block-coordinate baseline: each mode solves its
 matrix least-squares subproblem exactly (unconstrained) or by an inner
 accelerated projected-gradient loop (constrained).
@@ -136,7 +141,8 @@ def init_state(rng: np.random.Generator, dims, rank: int, solver: str) -> Solver
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
-    """Extreme eigenvalues of the sampled Gram matrix and the derived step quantities."""
+    """The sampled Gram's L and mu (mu = 0 where the cap is certified, see
+    `_cap_bounds`) and the derived step quantities."""
 
     L: float
     mu: float
@@ -164,6 +170,40 @@ def eigen_extremes(gram: np.ndarray) -> tuple[float, float]:
         raise ValueError("Gram matrix has non-finite entries")
     w = np.linalg.eigvalsh(gram)
     return float(w[-1]), float(max(w[0], 0.0))
+
+
+# The certified cap's power iteration stops once its Collatz-Wielandt bracket
+# on L is this tight (relative), and falls back to eigvalsh after this many
+# steps: paper-cell Grams close the bracket in 6-7 steps.
+CAP_BRACKET_RTOL = 1e-12
+CAP_MAX_STEPS = 30
+
+
+def _cap_bounds(gram: np.ndarray, cond: float) -> tuple[float, float]:
+    """(L, mu) for the lambda rule: eigen_extremes(gram), or (an upper bound on
+    L within CAP_BRACKET_RTOL, 0.0) where two Rayleigh quotients prove that the
+    rule takes its cap branch, L/mu > cond.
+
+    mu <= min_i G_ii and L >= 1'G1/R, so min(diag G) * cond < G.sum()/R proves
+    the cap.  For G >= 0 with x = G1 > 0, every step of x <- Gx / hi keeps L
+    in the Collatz-Wielandt bracket [min_i (Gx)_i/x_i, max_i (Gx)_i/x_i = hi].
+    mu = 0 underestimates the strong convexity, which is safe for the
+    momentum step.  A non-finite Gram fails the certificate and raises in
+    eigen_extremes.
+    """
+    r = gram.shape[0]
+    if not gram.diagonal().min() * cond < gram.sum() / r < math.inf:
+        return eigen_extremes(gram)
+    x = gram.sum(axis=1)
+    if (gram >= 0.0).all() and (x > 0.0).all():
+        for _ in range(CAP_MAX_STEPS):
+            y = gram @ x
+            ratio = y / x
+            hi = ratio.max()
+            if hi - ratio.min() <= CAP_BRACKET_RTOL * hi:
+                return float(hi), 0.0
+            x = y / hi
+    return eigen_extremes(gram)
 
 
 def lambda_rule(L: float, mu: float, cond_target: float) -> float:
@@ -225,8 +265,13 @@ def _gradient(state: SolverState, t: DenseTensor, sample: FiberSample,
 def _curvature(state: SolverState, gram: np.ndarray, schedule: LocallyOptimal,
                mode: int) -> CurvatureEstimate | None:
     """Curvature of the sampled subproblem, or None (with a warning) when the
-    sample is degenerate (L == 0) and the update is skipped."""
-    L, mu = eigen_extremes(gram)
+    sample is degenerate (L == 0) and the update is skipped.
+
+    L and mu come from `_cap_bounds`: where the lambda rule's cap is certified,
+    L is a power-iteration upper bound and mu = 0, so lam = L/cond and
+    L_bar/mu_bar = cond + 1; elsewhere they are the Gram's exact extremes.
+    """
+    L, mu = _cap_bounds(gram, schedule.cond)
     if L <= 0.0:
         logger.warning("iteration %d: all-zero sampled rows on mode %d; skipping update",
                        state.iteration, mode)

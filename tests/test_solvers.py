@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fibercpd import solvers
 from fibercpd.constraints import Constraint
-from fibercpd.experiments import SyntheticSpec, generate_synthetic
+from fibercpd.experiments import SyntheticSpec, generate_synthetic, run
 from fibercpd.sampling import FiberSample, FiberSampler
 from fibercpd.solvers import (
     Adagrad,
@@ -14,6 +15,7 @@ from fibercpd.solvers import (
     Diminishing,
     LocallyOptimal,
     SolverConfig,
+    _cap_bounds,
     adacpd_iteration,
     als_sweep,
     ascpd_iteration,
@@ -36,6 +38,7 @@ from oracles import fd_sampled_gradient, oracle_kr_full, oracle_unfold
 
 UNCON = Constraint("none")
 NONNEG = Constraint("nonneg")
+EPS = np.finfo(np.float64).eps
 
 
 def full_gradient(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
@@ -191,6 +194,132 @@ def test_curvature_beta_in_range():
         assert 0.0 <= est.beta < 1.0
         if est.L_bar == est.mu_bar:
             assert est.beta == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the certified lambda cap against eigen_extremes
+# ---------------------------------------------------------------------------
+
+
+def capped_beta(cond):
+    """beta where L_bar/mu_bar = cond + 1."""
+    s = math.sqrt(cond + 1.0)
+    return (s - 1.0) / (s + 1.0)
+
+
+def test_cap_bounds_is_exact_or_a_certified_cap():
+    """Random nonneg Grams: either eigen_extremes' tuple, or mu = 0 and an L
+    within 1e-12 above eigvalsh's, where eigvalsh confirms the cap."""
+    rng = np.random.default_rng(50)
+    certified = exact = 0
+    for _ in range(300):
+        r = int(rng.integers(1, 121))
+        k = rng.random((int(rng.integers(1, 3 * r + 1)), r))
+        gram = k.T @ k
+        cond = math.exp(rng.uniform(1e-6, math.log(1000.0)))   # log-uniform in (1, 1000)
+        L, mu = eigen_extremes(gram)
+        got = _cap_bounds(gram, cond)
+        if got == (L, mu):
+            exact += 1
+            continue
+        certified += 1
+        L_cert, mu_cert = got
+        assert mu_cert == 0.0
+        assert mu <= L / cond
+        # an upper bound on L, to the last bits both computations round
+        # (a 3,000-Gram sweep saw L_cert up to 1.5 ulp below eigvalsh's L)
+        assert L * (1.0 - 4 * EPS) <= L_cert <= L * (1.0 + 1e-12)
+    assert certified >= 50 and exact >= 50
+
+
+@pytest.mark.filterwarnings("error")           # a zero row must not reach a division
+def test_cap_bounds_falls_back_to_eigen_extremes_exactly():
+    rng = np.random.default_rng(51)
+    k_pos = rng.random((200, 50))
+    negative = k_pos.copy()
+    negative[0, 0] = -100.0                     # one unconstrained entry
+    zero_col = k_pos.copy()
+    zero_col[:, 3] = 0.0
+    two_blocks = np.zeros((20, 20))             # top eigenvalues 10 and 9 in
+    two_blocks[:10, :10] = 1.0                  # separate blocks: the bracket
+    two_blocks[10:, 10:] = 0.9                  # stays [9, 10] at every step
+    grams = {
+        "negative entry": negative.T @ negative,
+        "zero column": zero_col.T @ zero_col,
+        "1x1": np.array([[2.5]]),
+        "well conditioned": 3.0 * np.eye(30) + 0.01,
+        "open bracket": two_blocks,
+    }
+    cond = 10.0
+    for name, gram in grams.items():
+        if name in ("negative entry", "zero column", "open bracket"):
+            # the Rayleigh certificate holds, so the later checks decide
+            assert gram.diagonal().min() * cond < gram.sum() / gram.shape[0], name
+        assert _cap_bounds(gram, cond) == eigen_extremes(gram), name
+    # the negative entries leave every row sum positive: only the sign test rejects
+    assert (grams["negative entry"] < 0).any()
+    assert (grams["negative entry"].sum(axis=1) > 0).all()
+
+
+@pytest.mark.filterwarnings("error")           # rejected before any arithmetic on it
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_cap_bounds_rejects_non_finite(bad, where):
+    gram = np.random.default_rng(52).random((60, 8))
+    gram = gram.T @ gram
+    gram[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _cap_bounds(gram, 10.0)
+
+
+def count_eigensolves(monkeypatch, solver, t, rank, cond, block):
+    """(steps, eigen_extremes calls) over a one-full-iteration nonneg run."""
+    counts = {"steps": 0, "eigen": 0}
+    cap_bounds, eigen = solvers._cap_bounds, solvers.eigen_extremes
+
+    def counted_cap(*args):
+        counts["steps"] += 1
+        return cap_bounds(*args)
+
+    def counted_eigen(*args):
+        counts["eigen"] += 1
+        return eigen(*args)
+
+    monkeypatch.setattr(solvers, "_cap_bounds", counted_cap)
+    monkeypatch.setattr(solvers, "eigen_extremes", counted_eigen)
+    cfg = SolverConfig(solver, rank, constraint="nonneg", blocksizes=block,
+                       schedule=LocallyOptimal(cond), seed=3, max_full_iters=1)
+    run(t, cfg)
+    return counts["steps"], counts["eigen"]
+
+
+@pytest.mark.parametrize("solver", ["ascpd", "spg"])
+def test_cap_certified_on_a_paper_like_run(monkeypatch, solver):
+    """Nonneg, R = 50, cond 10: the paper cell's regime skips eigvalsh."""
+    t, _, _ = generate_synthetic(SyntheticSpec((30, 30, 30), 50, snr_db=10.0, seed=53))
+    steps, eigen = count_eigensolves(monkeypatch, solver, t, 50, 10.0, 100)
+    assert steps == 36
+    assert eigen <= 0.05 * steps
+
+
+def test_cap_falls_back_on_a_desk_like_run(monkeypatch):
+    """R = 20, cond 100: the certificate rarely holds and eigvalsh runs."""
+    t, _, _ = generate_synthetic(SyntheticSpec((30, 30, 30), 20, snr_db=30.0, seed=54))
+    steps, eigen = count_eigensolves(monkeypatch, "ascpd", t, 20, 100.0, 100)
+    assert steps == 36
+    assert eigen >= 0.95 * steps
+
+
+def test_certified_ascpd_step_uses_capped_curvature():
+    t, _, _ = generate_synthetic(SyntheticSpec((30, 30, 30), 50, snr_db=10.0, seed=55))
+    state = make_state(56, t, 50, "ascpd")
+    sample = FiberSampler(t.dims, (100,) * 3, np.random.default_rng(57)).draw()
+    cond = 10.0
+    est = ascpd_iteration(state, t, sample, NONNEG, LocallyOptimal(cond))
+    assert est.mu == 0.0                        # the certified branch
+    assert est.mu_bar == est.lam == est.L / cond
+    assert est.L_bar / est.mu_bar == pytest.approx(cond + 1.0, rel=1e-12)
+    assert est.beta == pytest.approx(capped_beta(cond), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
