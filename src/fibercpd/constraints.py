@@ -20,12 +20,17 @@ class Constraint:
             raise ValueError(f"unknown constraint kind {self.kind!r}; "
                              f"choose from {CONSTRAINT_KINDS}")
 
-    def prox(self, m: np.ndarray) -> np.ndarray:
+    def prox(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Euclidean projection onto the set; identity when unconstrained.
 
-        The unconstrained case returns the input array itself, not a copy.
+        With `out` (which may be `m` itself) the projection is written there and
+        `out` is returned.  Without it, the unconstrained case returns the input
+        array itself, not a copy.
         """
         if self.kind == "nonneg":
-            return np.maximum(m, 0.0)
+            return np.maximum(m, 0.0, out=out)
+        if out is not None:
+            out[...] = m
+            return out
         return m
 

@@ -385,15 +385,23 @@ def _prox_block_solve(a0: np.ndarray, gram: np.ndarray, rhs: np.ndarray,
     if L <= 0.0:
         return a0
     beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
-    a_prev = a0
+    # three buffers updated in place, none of them a0 (the model's factor):
+    # the iterate pair swaps each step, and `diff` holds a_new - a_prev and
+    # then, scaled and shifted, the extrapolated point y the next step reads
+    a_prev, a_new, diff = a0.copy(), np.empty_like(a0), np.empty_like(a0)
     y = a0
     for _ in range(max_inner):
-        grad = y @ gram - rhs
-        a_new = constraint.prox(y - grad / L)
-        change = np.linalg.norm(a_new - a_prev)
+        np.matmul(y, gram, out=a_new)
+        a_new -= rhs
+        a_new /= L
+        constraint.prox(np.subtract(y, a_new, out=a_new), out=a_new)
+        np.subtract(a_new, a_prev, out=diff)
+        change = np.linalg.norm(diff)
         scale = max(np.linalg.norm(a_prev), 1e-30)
-        y = a_new + beta * (a_new - a_prev)
-        a_prev = a_new
+        diff *= beta
+        diff += a_new
+        y = diff
+        a_prev, a_new = a_new, a_prev
         if change <= rel_tol * scale:
             break
     return a_prev

@@ -24,7 +24,12 @@ products of the dims before and after mode n, the storage is an (L, I_n, R_t)
 Fortran-order array: a fiber gather indexes it at [j % L, :, j // L], and the
 MTTKRP is one GEMM of its (L * I_n, R_t) matricization with the Khatri-Rao
 product of the later factors, followed by a batched reduction against that of
-the earlier factors.
+the earlier factors.  The GEMM always takes the tensor operand C-contiguous
+and untransposed: the matricization's transpose, with the Khatri-Rao product
+transposed on the left, so the result comes out as the transposed partial
+product.  A BLAS GEMM streams an untransposed C-contiguous operand faster than
+a transposed one (up to 2x on OpenBLAS for these shapes), and the tensor is by
+far the largest operand.
 
 The reconstruction error needs no reconstruction either:
 
@@ -221,10 +226,15 @@ def _mttkrp(t: DenseTensor, factors, mode: int) -> np.ndarray:
     """MTTKRP kernel on the Fortran-ordered storage, without permuting the tensor.
 
     With L and R_t the products of the dims before and after `mode`, the
-    storage is the (L * I_mode, R_t) matrix whose columns are contracted with the
-    Khatri-Rao product of the later factors in one GEMM; the (I_mode, L, rank)
-    result is then reduced against the Khatri-Rao product of the earlier
-    factors.  The first and the last mode need a single GEMM.  No validation.
+    storage's transpose is the C-contiguous (R_t, L * I_mode) matrix.  One GEMM
+    contracts it with the Khatri-Rao product of the later factors into the
+    (rank, I_mode, L) partial product, which is then reduced against the
+    Khatri-Rao product of the earlier factors; the last mode's storage is the
+    C-contiguous (I_mode, L) matrix, contracted with them directly.  So BLAS
+    always gets the tensor operand C-contiguous and untransposed, the form it
+    runs fastest (see the module docs).  The first and the last mode need a
+    single GEMM; the first mode's result is the transpose of the partial
+    product, not a copy.  No validation.
     """
     dims = t.dims
     rank = factors[0].shape[1]
@@ -233,11 +243,11 @@ def _mttkrp(t: DenseTensor, factors, mode: int) -> np.ndarray:
     if mode == len(dims) - 1:
         return t.values.reshape(left, i_n, order="F").T @ _kr_chain(factors[:mode], rank)
     right = math.prod(dims[mode + 1:])
-    partial = (t.values.reshape(left * i_n, right, order="F")
-               @ _kr_chain(factors[mode + 1:], rank))
+    partial = (_kr_chain(factors[mode + 1:], rank).T
+               @ t.values.reshape(left * i_n, right, order="F").T)
     if mode == 0:
-        return partial
-    return np.einsum("ilz,lz->iz", partial.reshape(i_n, left, rank),
+        return partial.T
+    return np.einsum("zil,lz->iz", partial.reshape(rank, i_n, left),
                      _kr_chain(factors[:mode], rank))
 
 

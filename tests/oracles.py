@@ -6,15 +6,20 @@ convention (see `fibercpd.tensor`); `fd_sampled_gradient` differentiates the
 sampled objective built from them by central finite differences.
 `read_dfac` parses the factor sidecar that `synth` writes by its documented
 layout; the package itself has no reader for it.
+
+`gemm_mttkrp` and `allocating_prox_block_solve` are kernels the package
+replaced, kept as the references of its differential tests.
 """
 
 import itertools
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from fibercpd.tensor import DenseTensor, KruskalModel, row_count
+from fibercpd.solvers import eigen_extremes
+from fibercpd.tensor import DenseTensor, KruskalModel, _kr_chain, row_count
 
 
 def oracle_unfold(t: DenseTensor, mode: int) -> np.ndarray:
@@ -82,3 +87,42 @@ def read_dfac(path) -> KruskalModel:
         offset += 8 * d * rank
     assert offset == len(raw), "DFAC payload length"
     return KruskalModel(factors)
+
+
+def gemm_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
+    """The MTTKRP with the tensor as the GEMM's left operand: the F-ordered
+    (L * I_mode, R_t) matricization, a transposed operand for BLAS, times the
+    Khatri-Rao product of the later factors, then reduced against that of the
+    earlier ones.  The last mode is the C-contiguous (I_mode, L) form."""
+    dims, factors, rank = t.dims, model.factors, model.rank
+    left = math.prod(dims[:mode])
+    i_n = dims[mode]
+    if mode == len(dims) - 1:
+        return t.values.reshape(left, i_n, order="F").T @ _kr_chain(factors[:mode], rank)
+    right = math.prod(dims[mode + 1:])
+    partial = (t.values.reshape(left * i_n, right, order="F")
+               @ _kr_chain(factors[mode + 1:], rank))
+    if mode == 0:
+        return partial
+    return np.einsum("ilz,lz->iz", partial.reshape(i_n, left, rank),
+                     _kr_chain(factors[:mode], rank))
+
+
+def allocating_prox_block_solve(a0, gram, rhs, constraint, max_inner=50, rel_tol=1e-8):
+    """The constrained ALS block solve with a fresh array for every intermediate."""
+    L, mu = eigen_extremes(gram)
+    if L <= 0.0:
+        return a0
+    beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
+    a_prev = a0
+    y = a0
+    for _ in range(max_inner):
+        grad = y @ gram - rhs
+        a_new = constraint.prox(y - grad / L)
+        change = np.linalg.norm(a_new - a_prev)
+        scale = max(np.linalg.norm(a_prev), 1e-30)
+        y = a_new + beta * (a_new - a_prev)
+        a_prev = a_new
+        if change <= rel_tol * scale:
+            break
+    return a_prev

@@ -24,6 +24,20 @@ def test_unconstrained_is_identity():
 
 @settings(max_examples=50, deadline=None)
 @given(m=matrices)
+def test_prox_into_out_matches_allocating_prox(m):
+    for kind in ("none", "nonneg"):
+        c = Constraint(kind)
+        want = c.prox(m.copy())
+        out = np.empty_like(m)
+        assert c.prox(m, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        in_place = m.copy()
+        assert c.prox(in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=matrices)
 def test_prox_idempotent(m):
     for kind in ("none", "nonneg"):
         c = Constraint(kind)

@@ -3,7 +3,8 @@
 The oracles below are the earlier implementations, kept here only as
 references: the einsum MTTKRP, the row-digit decomposition with the
 index-matrix fiber gather and the Khatri-Rao rows built on it, and the metric
-from the full reconstruction.
+from the full reconstruction.  `tests/oracles.py` holds the GEMM MTTKRP with a
+transposed tensor operand and the allocating nonneg ALS block solve.
 """
 
 import math
@@ -22,7 +23,7 @@ from fibercpd.experiments import (
     squared_norm,
 )
 from fibercpd.sampling import FiberSampler
-from fibercpd.solvers import SolverConfig, als_sweep, init_state
+from fibercpd.solvers import SolverConfig, _prox_block_solve, als_sweep, init_state
 from fibercpd.tensor import (
     DenseTensor,
     KruskalModel,
@@ -35,6 +36,8 @@ from fibercpd.tensor import (
     row_count,
     surviving_modes,
 )
+
+from oracles import allocating_prox_block_solve, gemm_mttkrp
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -116,13 +119,18 @@ def instance(seed, dims, rank):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dims=dims_strategy, rank=st.integers(1, 4), data=st.data())
+@given(dims=dims_strategy, rank=st.integers(1, 6), data=st.data())
 def test_mttkrp_matches_einsum(dims, rank, data):
+    # also against the GEMM with the tensor transposed, which it replaced; not
+    # bitwise, since the rounding of either GEMM depends on the BLAS build
     mode = data.draw(st.integers(0, len(dims) - 1))
     t, model = instance(data.draw(st.integers(0, 2**31 - 1)), dims, rank)
     got = mttkrp(t, model, mode)
     assert got.shape == (dims[mode], rank)
     assert rel_err(got, einsum_mttkrp(t, model, mode)) <= 1e-12
+    assert rel_err(got, gemm_mttkrp(t, model, mode)) <= 1e-12
+    for operand in (t.values, *model.factors):
+        assert not np.shares_memory(got, operand)
 
 
 def test_mttkrp_matches_einsum_unequal_modes():
@@ -143,6 +151,44 @@ def test_mttkrp_validates_inputs():
     wrong = KruskalModel([np.ones((3, 2)), np.ones((5, 2)), np.ones((5, 2))])
     with pytest.raises(ValueError):
         mttkrp(t, wrong, 0)
+
+
+# ---------------------------------------------------------------------------
+# nonneg ALS block solve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_prox_block_solve_matches_allocating_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    i_n, rank = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+    k = rng.random((2 * rank + 3, rank))
+    gram = k.T @ k
+    a0 = rng.random((i_n, rank))
+    rhs = rng.standard_normal((i_n, rank)) + a0 @ gram
+    if seed % 2:
+        rhs = np.asfortranarray(rhs)   # the layout mttkrp returns for the first modes
+    before = a0.copy()
+    for max_inner in (0, 1, 2, 50):
+        got = _prox_block_solve(a0, gram, rhs, Constraint("nonneg"), max_inner=max_inner)
+        want = allocating_prox_block_solve(a0, gram, rhs, Constraint("nonneg"),
+                                           max_inner=max_inner)
+        np.testing.assert_array_equal(a0, before)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_prox_block_solve_stop_rule_matches_allocating_loop():
+    # at rel_tol=1e-2 this block stops after 15 of its 50 inner iterations
+    rng = np.random.default_rng(40)
+    k = rng.random((12, 4))
+    gram, a0 = k.T @ k, rng.random((9, 4))
+    rhs = rng.standard_normal((9, 4))
+    nonneg = Constraint("nonneg")
+    got = _prox_block_solve(a0, gram, rhs, nonneg, rel_tol=1e-2)
+    assert got.tobytes() == allocating_prox_block_solve(a0, gram, rhs, nonneg,
+                                                        rel_tol=1e-2).tobytes()
+    assert got.tobytes() == _prox_block_solve(a0, gram, rhs, nonneg, max_inner=15).tobytes()
+    assert got.tobytes() != _prox_block_solve(a0, gram, rhs, nonneg, max_inner=16).tobytes()
 
 
 # ---------------------------------------------------------------------------
