@@ -411,14 +411,19 @@ def als_sweep(state: SolverState, t: DenseTensor, constraint: Constraint) -> np.
     """One pass over all modes, each solving its least-squares block in place.
 
     Updated factors are used immediately by the later modes of the same sweep.
+    The last factor changes only at the end of the sweep, so every other mode's
+    MTTKRP reduces one shared partial product `A_{N-1}^T X^T`: the first call
+    computes it and the last mode's call drops it (see `tensor._mttkrp`).  A
+    3-way sweep thus makes two tensor-sized GEMMs and three `mttkrp` calls.
     The sweep is charged one full-iteration unit of work.  Returns the last
     mode's MTTKRP, which stays exact for the updated model (only the last
     factor changed after it) and so lets the metric skip its own MTTKRP.
     """
     model = state.model
+    shared: dict = {}
     for i in range(t.order):
         gram = hadamard_gram(model, skip=i)
-        rhs = mttkrp(t, model, i)
+        rhs = mttkrp(t, model, i, shared)
         if constraint.kind == "none":
             model.factors[i] = _solve_normal_equations(gram, rhs)
         else:

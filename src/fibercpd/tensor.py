@@ -21,15 +21,18 @@ on this identity.
 
 The kernels work on the flat storage without permuting it.  With L and R_t the
 products of the dims before and after mode n, the storage is an (L, I_n, R_t)
-Fortran-order array: a fiber gather indexes it at [j % L, :, j // L], and the
-MTTKRP is one GEMM of its (L * I_n, R_t) matricization with the Khatri-Rao
-product of the later factors, followed by a batched reduction against that of
-the earlier factors.  The GEMM always takes the tensor operand C-contiguous
-and untransposed: the matricization's transpose, with the Khatri-Rao product
-transposed on the left, so the result comes out as the transposed partial
-product.  A BLAS GEMM streams an untransposed C-contiguous operand faster than
-a transposed one (up to 2x on OpenBLAS for these shapes), and the tensor is by
-far the largest operand.
+Fortran-order array, and a fiber gather indexes it at [j % L, :, j // L].
+A full MTTKRP rests on one tensor-sized GEMM, which always takes the tensor
+operand C-contiguous and untransposed: a BLAS GEMM streams that form faster
+than a transposed one (up to 2x on OpenBLAS for these shapes), and the tensor
+is by far the largest operand.  The last mode's storage is the C-contiguous
+(I_{N-1}, L) matrix, contracted with the Khatri-Rao product of the other
+factors.  Every other mode starts from the same partial product
+P = A_{N-1}^T X^T, with X^T the C-contiguous (I_{N-1}, prod of the other
+dims) view of the storage, and reduces it against the remaining factors.
+Since P depends on the last factor only, one P serves every mode but the last
+of an ALS sweep (a two-level dimension tree): a 3-way sweep makes two
+tensor-sized GEMMs, not three.
 
 The reconstruction error needs no reconstruction either:
 
@@ -222,41 +225,68 @@ def _check_model_compatible(t: DenseTensor, model: KruskalModel, skip: int | Non
         raise ValueError(f"model order {model.order} != tensor order {t.order}")
 
 
-def _mttkrp(t: DenseTensor, factors, mode: int) -> np.ndarray:
+def _last_factor_partial(t: DenseTensor, last_factor: np.ndarray) -> np.ndarray:
+    """P = A_{N-1}^T X^T, the (rank, prod(dims[:-1])) partial product that every
+    mode but the last reduces: one GEMM over the C-contiguous
+    (I_{N-1}, prod(dims[:-1])) view of the storage, with inner dimension I_{N-1}."""
+    return last_factor.T @ t.values.reshape(t.dims[-1], -1)
+
+
+def _mttkrp(t: DenseTensor, factors, mode: int, shared: dict | None = None) -> np.ndarray:
     """MTTKRP kernel on the Fortran-ordered storage, without permuting the tensor.
 
-    With L and R_t the products of the dims before and after `mode`, the
-    storage's transpose is the C-contiguous (R_t, L * I_mode) matrix.  One GEMM
-    contracts it with the Khatri-Rao product of the later factors into the
-    (rank, I_mode, L) partial product, which is then reduced against the
-    Khatri-Rao product of the earlier factors; the last mode's storage is the
-    C-contiguous (I_mode, L) matrix, contracted with them directly.  So BLAS
-    always gets the tensor operand C-contiguous and untransposed, the form it
-    runs fastest (see the module docs).  The first and the last mode need a
-    single GEMM; the first mode's result is the transpose of the partial
-    product, not a copy.  No validation.
+    The last mode's storage is the C-contiguous (I_mode, L) matrix, L the
+    product of the earlier dims, contracted with the Khatri-Rao product of the
+    earlier factors.  Every other mode reduces the partial product
+    P = A_{N-1}^T X^T (`_last_factor_partial`), viewed as the C-ordered
+    (rank, M, I_mode, L) array with M the product of the dims between `mode`
+    and the last: first against the Khatri-Rao product of those middle factors
+    (skipped for mode N-2, which has none), then against that of the earlier
+    factors (skipped for mode 0, whose result is a transpose, not a copy).
+    Either tensor-sized GEMM takes the tensor operand C-contiguous and
+    untransposed (see the module docs).
+
+    `shared`, when given, carries P between the calls of one ALS sweep, which
+    is valid while the last factor does not change: the first call that needs
+    P stores it there and later calls reuse it.  The last mode's call empties
+    it before it builds its Khatri-Rao chain, which is as large as P.  No
+    validation.
     """
+    shared = {} if shared is None else shared
     dims = t.dims
     rank = factors[0].shape[1]
+    last = len(dims) - 1
     left = math.prod(dims[:mode])
     i_n = dims[mode]
-    if mode == len(dims) - 1:
+    if mode == last:
+        shared.clear()
         return t.values.reshape(left, i_n, order="F").T @ _kr_chain(factors[:mode], rank)
-    right = math.prod(dims[mode + 1:])
-    partial = (_kr_chain(factors[mode + 1:], rank).T
-               @ t.values.reshape(left * i_n, right, order="F").T)
+    if "partial" not in shared:
+        shared["partial"] = _last_factor_partial(t, factors[last])
+    partial = shared["partial"]
+    if mode < last - 1:
+        middle = math.prod(dims[mode + 1:last])
+        partial = np.einsum("zmq,mz->zq", partial.reshape(rank, middle, i_n * left),
+                            _kr_chain(factors[mode + 1:last], rank))
     if mode == 0:
         return partial.T
     return np.einsum("zil,lz->iz", partial.reshape(rank, i_n, left),
                      _kr_chain(factors[:mode], rank))
 
 
-def mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
+def mttkrp(t: DenseTensor, model: KruskalModel, mode: int,
+           shared: dict | None = None) -> np.ndarray:
     """Full MTTKRP: the mode unfolding's transpose times the Khatri-Rao product of
-    every factor but `mode`, computed by GEMMs."""
+    every factor but `mode`, computed by GEMMs.
+
+    Pass one empty dict as `shared` to every call of an ALS sweep, modes in
+    order, so that the tensor-sized partial product of every mode but the last
+    is computed once (see `_mttkrp`); each result equals that of a call
+    without it, bit for bit.
+    """
     _check_mode(t.dims, mode)
     _check_model_compatible(t, model, skip=mode)
-    return _mttkrp(t, model.factors, mode)
+    return _mttkrp(t, model.factors, mode, shared)
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:

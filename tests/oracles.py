@@ -7,7 +7,7 @@ sampled objective built from them by central finite differences.
 `read_dfac` parses the factor sidecar that `synth` writes by its documented
 layout; the package itself has no reader for it.
 
-`gemm_mttkrp` and `allocating_prox_block_solve` are kernels the package
+`per_mode_mttkrp` and `allocating_prox_block_solve` are kernels the package
 replaced, kept as the references of its differential tests.
 """
 
@@ -89,22 +89,23 @@ def read_dfac(path) -> KruskalModel:
     return KruskalModel(factors)
 
 
-def gemm_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
-    """The MTTKRP with the tensor as the GEMM's left operand: the F-ordered
-    (L * I_mode, R_t) matricization, a transposed operand for BLAS, times the
-    Khatri-Rao product of the later factors, then reduced against that of the
-    earlier ones.  The last mode is the C-contiguous (I_mode, L) form."""
+def per_mode_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
+    """The MTTKRP with one tensor-sized GEMM of its own in every mode: for every
+    mode but the last, the Khatri-Rao product of all the later factors
+    (transposed) times the C-contiguous (R_t, L * I_mode) transpose of the
+    storage, then reduced against the Khatri-Rao product of the earlier ones.
+    The last mode is the C-contiguous (I_mode, L) form."""
     dims, factors, rank = t.dims, model.factors, model.rank
     left = math.prod(dims[:mode])
     i_n = dims[mode]
     if mode == len(dims) - 1:
         return t.values.reshape(left, i_n, order="F").T @ _kr_chain(factors[:mode], rank)
     right = math.prod(dims[mode + 1:])
-    partial = (t.values.reshape(left * i_n, right, order="F")
-               @ _kr_chain(factors[mode + 1:], rank))
+    partial = (_kr_chain(factors[mode + 1:], rank).T
+               @ t.values.reshape(left * i_n, right, order="F").T)
     if mode == 0:
-        return partial
-    return np.einsum("ilz,lz->iz", partial.reshape(i_n, left, rank),
+        return partial.T
+    return np.einsum("zil,lz->iz", partial.reshape(rank, i_n, left),
                      _kr_chain(factors[:mode], rank))
 
 

@@ -3,8 +3,8 @@
 The oracles below are the earlier implementations, kept here only as
 references: the einsum MTTKRP, the row-digit decomposition with the
 index-matrix fiber gather and the Khatri-Rao rows built on it, and the metric
-from the full reconstruction.  `tests/oracles.py` holds the GEMM MTTKRP with a
-transposed tensor operand and the allocating nonneg ALS block solve.
+from the full reconstruction.  `tests/oracles.py` holds the MTTKRP with one
+tensor-sized GEMM per mode and the allocating nonneg ALS block solve.
 """
 
 import math
@@ -37,7 +37,7 @@ from fibercpd.tensor import (
     surviving_modes,
 )
 
-from oracles import allocating_prox_block_solve, gemm_mttkrp
+from oracles import allocating_prox_block_solve, per_mode_mttkrp
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -121,16 +121,31 @@ def instance(seed, dims, rank):
 @settings(max_examples=150, deadline=None)
 @given(dims=dims_strategy, rank=st.integers(1, 6), data=st.data())
 def test_mttkrp_matches_einsum(dims, rank, data):
-    # also against the GEMM with the tensor transposed, which it replaced; not
-    # bitwise, since the rounding of either GEMM depends on the BLAS build
-    mode = data.draw(st.integers(0, len(dims) - 1))
+    # every mode within 1e-12 of the einsum and of the per-mode kernel it
+    # replaced; modes N-2 and N-1 run that kernel's operations, so they match
+    # it bit for bit
     t, model = instance(data.draw(st.integers(0, 2**31 - 1)), dims, rank)
-    got = mttkrp(t, model, mode)
-    assert got.shape == (dims[mode], rank)
-    assert rel_err(got, einsum_mttkrp(t, model, mode)) <= 1e-12
-    assert rel_err(got, gemm_mttkrp(t, model, mode)) <= 1e-12
-    for operand in (t.values, *model.factors):
-        assert not np.shares_memory(got, operand)
+    for mode in range(len(dims)):
+        got = mttkrp(t, model, mode)
+        assert got.shape == (dims[mode], rank)
+        assert rel_err(got, einsum_mttkrp(t, model, mode)) <= 1e-12
+        want = per_mode_mttkrp(t, model, mode)
+        assert rel_err(got, want) <= 1e-12
+        if mode >= len(dims) - 2:
+            assert got.tobytes() == want.tobytes()
+        for operand in (t.values, *model.factors):
+            assert not np.shares_memory(got, operand)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=dims_strategy, rank=st.integers(1, 6), data=st.data())
+def test_mttkrp_reusing_the_partial_equals_a_standalone_call(dims, rank, data):
+    t, model = instance(data.draw(st.integers(0, 2**31 - 1)), dims, rank)
+    shared = {}
+    for mode in range(len(dims)):
+        reused = mttkrp(t, model, mode, shared)
+        assert reused.tobytes() == mttkrp(t, model, mode).tobytes()
+        assert bool(shared) == (mode < len(dims) - 1)
 
 
 def test_mttkrp_matches_einsum_unequal_modes():
@@ -167,7 +182,7 @@ def test_prox_block_solve_matches_allocating_loop_bitwise(seed):
     a0 = rng.random((i_n, rank))
     rhs = rng.standard_normal((i_n, rank)) + a0 @ gram
     if seed % 2:
-        rhs = np.asfortranarray(rhs)   # the layout mttkrp returns for the first modes
+        rhs = np.asfortranarray(rhs)   # the layout mttkrp returns for mode 0 (N >= 2)
     before = a0.copy()
     for max_inner in (0, 1, 2, 50):
         got = _prox_block_solve(a0, gram, rhs, Constraint("nonneg"), max_inner=max_inner)

@@ -1,11 +1,12 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fibercpd import solvers
+from fibercpd import solvers, tensor
 from fibercpd.constraints import Constraint
 from fibercpd.experiments import SyntheticSpec, generate_synthetic, run
 from fibercpd.sampling import FiberSample, FiberSampler
@@ -16,6 +17,7 @@ from fibercpd.solvers import (
     LocallyOptimal,
     SolverConfig,
     _cap_bounds,
+    _solve_normal_equations,
     adacpd_iteration,
     als_sweep,
     ascpd_iteration,
@@ -34,7 +36,7 @@ from fibercpd.tensor import (
     objective,
     row_count,
 )
-from oracles import fd_sampled_gradient, oracle_kr_full, oracle_unfold
+from oracles import fd_sampled_gradient, oracle_kr_full, oracle_unfold, per_mode_mttkrp
 
 UNCON = Constraint("none")
 NONNEG = Constraint("nonneg")
@@ -664,6 +666,78 @@ def test_als_constrained_zero_gram_leaves_factor():
     state.model = model
     als_sweep(state, t, NONNEG)
     assert np.array_equal(state.model.factors[0], before)
+
+
+SWEEP_DIMS = [(5,), (6, 4), (5, 4, 3), (4, 3, 5, 2), (3, 1, 4, 2), (3, 2, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("dims", SWEEP_DIMS)
+def test_als_sweep_shares_one_partial_per_sweep(monkeypatch, dims):
+    # `order` mttkrp calls per sweep, and the tensor-sized GEMM of the shared
+    # partial runs once, inside the first of them (where a trace charges it)
+    calls, partials = [], []
+    real_mttkrp, real_partial = solvers.mttkrp, tensor._last_factor_partial
+
+    def spy_mttkrp(t, model, mode, *args, **kwargs):
+        calls.append(mode)
+        return real_mttkrp(t, model, mode, *args, **kwargs)
+
+    def spy_partial(t, last_factor):
+        partials.append(len(calls))
+        return real_partial(t, last_factor)
+
+    monkeypatch.setattr(solvers, "mttkrp", spy_mttkrp)
+    monkeypatch.setattr(tensor, "_last_factor_partial", spy_partial)
+    t, _ = random_problem(55, dims=dims, rank=3)
+    state = make_state(56, t, 3, "als")
+    for sweep in range(3):
+        calls.clear()
+        partials.clear()
+        als_sweep(state, t, NONNEG if sweep % 2 else UNCON)
+        assert calls == list(range(len(dims)))
+        assert partials == ([1] if len(dims) > 1 else [])
+
+
+def per_mode_sweep(t, model):
+    """An unconstrained ALS sweep on the per-mode MTTKRP, which shares nothing."""
+    for mode in range(t.order):
+        gram = hadamard_gram(model, skip=mode)
+        model.factors[mode] = _solve_normal_equations(gram, per_mode_mttkrp(t, model, mode))
+
+
+@pytest.mark.parametrize("dims", SWEEP_DIMS)
+def test_als_sweeps_match_per_mode_kernel_sweeps(dims):
+    # a partial that outlived its sweep would carry the old last factor into
+    # the next sweep's first modes
+    t, _ = random_problem(57, dims=dims, rank=3)
+    state = make_state(58, t, 3, "als")
+    oracle = state.model.copy()
+    for _ in range(2):
+        als_sweep(state, t, UNCON)
+        per_mode_sweep(t, oracle)
+    for got, want in zip(state.model.factors, oracle.factors):
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
+
+
+# peak traced bytes of one sweep, in units of the shared partial's size
+# 8 * R * prod(dims) / I_last: the partial, or the last mode's Khatri-Rao
+# chain of the same size, plus small arrays; the two at once would be 2
+SWEEP_PEAK_MULTIPLE = 1.5
+
+
+@pytest.mark.parametrize("constraint", [UNCON, NONNEG])
+@pytest.mark.parametrize("dims, rank", [((100, 80, 3), 10), ((40, 30, 20, 3), 6)])
+def test_als_sweep_drops_the_partial_before_the_last_mode(dims, rank, constraint):
+    t, _ = random_problem(59, dims=dims, rank=rank)
+    state = make_state(60, t, rank, "als")
+    als_sweep(state, t, constraint)
+    tracemalloc.start()
+    try:
+        als_sweep(state, t, constraint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SWEEP_PEAK_MULTIPLE * 8 * rank * math.prod(dims) / dims[-1]
 
 
 def test_als_work_charged_per_sweep():
