@@ -5,7 +5,6 @@ from .experiments import (
     RunRecord,
     SyntheticSpec,
     generate_synthetic,
-    metric,
     run,
     run_trials,
 )
@@ -26,6 +25,7 @@ from .tensor import (
     frob_norm,
     khatri_rao,
     kr_rows,
+    metric,
     mttkrp,
     objective,
     reconstruct,

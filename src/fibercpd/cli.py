@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .constraints import CONSTRAINT_KINDS
@@ -14,7 +14,6 @@ from .sampling import RNG_ALGORITHM
 from .solvers import SCHEDULES, SOLVERS, SolverConfig
 from .storage import (
     FileFormatError,
-    config_echo,
     read_raw64,
     read_tensor,
     write_factors,
@@ -70,6 +69,31 @@ def resolve_data(given: dict, cfg: SolverConfig):
     tensor = read_tensor(path)
     cfg.blocks_for(tensor.order)
     return tensor, {"input": path}
+
+
+def config_echo(cfgs: list[SolverConfig], dims, extra: dict) -> dict:
+    """The CSV config echo of one or more configs that differ at most in solver and
+    schedule (bench's average.csv): the solvers joined by commas, then every
+    schedule field once, in solver order, then `extra`."""
+    cfg = cfgs[0]
+    echo = {
+        "solver": ",".join(c.solver for c in cfgs),
+        "dims": ",".join(str(d) for d in dims),
+        "rank": cfg.rank,
+        "constraint": cfg.constraint,
+        "block": ",".join(str(b) for b in cfg.blocks_for(len(dims))),
+    }
+    for c in cfgs:
+        if c.schedule is not None:
+            echo.update(asdict(c.schedule))
+    echo.update({
+        "seed": cfg.seed,
+        "max_full_iters": cfg.max_full_iters,
+        "tol": "" if cfg.tol is None else cfg.tol,
+        "rng": RNG_ALGORITHM,
+        **extra,
+    })
+    return echo
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:

@@ -1,11 +1,12 @@
-"""Synthetic data generation, the reconstruction-error metric, work-equivalent
-full-iteration accounting, the single-trial run loop, and Monte-Carlo trials.
+"""Synthetic data generation, work-equivalent full-iteration accounting, the
+single-trial run loop, and Monte-Carlo trials.
 
 Work accounting: every solver charges the tensor entries its (partial) MTTKRPs
 touch, in units of one full iteration (`solvers.full_iteration_cost`), so
 stochastic and batch solvers are compared after the same amount of
-arithmetic.  A checkpoint (metric evaluation) fires each time the running
-entry count crosses a multiple of that unit.
+arithmetic.  A checkpoint fires each time the running entry count crosses a
+multiple of that unit and evaluates `metric` (defined in `tensor`; `run` looks
+it up in this module, where a tracer or a test double can rebind it).
 """
 
 from __future__ import annotations
@@ -19,20 +20,8 @@ import numpy as np
 from . import solvers
 from .constraints import Constraint
 from .sampling import FiberSampler
-from .solvers import SolverConfig, full_iteration_cost, hadamard_gram, init_state
-from .tensor import (
-    DenseTensor,
-    KruskalModel,
-    _check_model_compatible,
-    _mttkrp,
-    frob_norm,
-    reconstruct,
-    relative_error,
-)
-
-# below this residual^2 / ||t||^2 the Gram identity has cancelled too many
-# digits and the metric recomputes the residual from the reconstruction
-EXACT_METRIC_BELOW = 1e-10
+from .solvers import SolverConfig, full_iteration_cost, init_state
+from .tensor import DenseTensor, KruskalModel, frob_norm, metric, reconstruct, squared_norm
 
 
 @dataclass(frozen=True)
@@ -50,6 +39,10 @@ class SyntheticSpec:
             raise ValueError("rank must be >= 1")
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel, float]:
@@ -69,38 +62,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel, 
     noise *= sigma            # in place: the same IEEE operations as clean + sigma * noise
     noise += clean.values
     return DenseTensor(spec.dims, noise), truth, float(sigma)
-
-
-def squared_norm(t: DenseTensor) -> float:
-    return float(t.values @ t.values)
-
-
-def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
-           last_mttkrp: np.ndarray | None = None) -> float:
-    """Relative reconstruction error ||t - reconstruct(model)||_F / ||t||_F.
-
-    Computed without the reconstruction by the Gram identity
-    ||t - Xhat||^2 = ||t||^2 - 2 <M, A_last> + sum(Hadamard product of A_n^T A_n),
-    where M is the last mode's MTTKRP.  `norm_sq` (||t||^2) and `last_mttkrp`
-    may be passed in when the caller already has them; ALS's sweep ends with
-    that MTTKRP.  The subtraction costs digits as the residual shrinks: the
-    error on m^2 is a few ulps of ||t||^2 + ||Xhat||^2, relative to ||t||^2.
-    When the identity's residual^2 falls to EXACT_METRIC_BELOW * ||t||^2 or
-    below, the residual is formed exactly instead.  A NaN model gives NaN.
-    """
-    _check_model_compatible(t, model)
-    if norm_sq is None:
-        norm_sq = squared_norm(t)
-    if norm_sq == 0.0:
-        raise ValueError("relative error is undefined for the zero tensor")
-    last = t.order - 1
-    if last_mttkrp is None:
-        last_mttkrp = _mttkrp(t, model.factors, last)
-    resid_sq = (norm_sq - 2.0 * float(np.vdot(last_mttkrp, model.factors[last]))
-                + float(hadamard_gram(model).sum()))
-    if resid_sq <= EXACT_METRIC_BELOW * norm_sq:
-        return relative_error(t, model)
-    return math.sqrt(resid_sq) / math.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .tensor import (
     DenseTensor,
     KruskalModel,
     gather_fiber_rows,
+    hadamard_gram,
     kr_rows,
     mttkrp,
 )
@@ -239,16 +240,6 @@ def sampled_gradient(t: DenseTensor, model: KruskalModel, sample: FiberSample,
     return grad, gram
 
 
-def hadamard_gram(model: KruskalModel, skip: int | None = None) -> np.ndarray:
-    """K^T K for the Khatri-Rao product of every factor but `skip` (None: all of
-    them), as the Hadamard product of factor Grams."""
-    out = np.ones((model.rank, model.rank))
-    for n, f in enumerate(model.factors):
-        if n != skip:
-            out *= f.T @ f
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stochastic iterations (each touches exactly one mode)
 # ---------------------------------------------------------------------------
@@ -445,7 +436,7 @@ class SolverConfig:
     rank: int
     constraint: str = "none"
     blocksizes: int | tuple[int, ...] = 1
-    schedule: Schedule | None = None    # None: the solver's default schedule (ALS: none)
+    schedule: Schedule | None = None    # None: the solver's default schedule; ALS takes none
     seed: int = 0
     max_full_iters: int = 100
     tol: float | None = None
@@ -457,14 +448,19 @@ class SolverConfig:
             raise ValueError("rank must be >= 1")
         if self.max_full_iters < 0:
             raise ValueError("max_full_iters must be >= 0")
-        if self.tol is not None and self.tol <= 0:
+        if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive when given")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
         Constraint(self.constraint)                   # raises on an unknown kind
         blocks = (self.blocksizes,) if isinstance(self.blocksizes, int) else self.blocksizes
         if any(b < 1 for b in blocks):
             raise ValueError("blocksizes must be >= 1")
         kind = SCHEDULES.get(self.solver)
         if kind is None:
+            if self.schedule is not None:
+                raise ValueError(f"solver {self.solver} takes no schedule, "
+                                 f"got {type(self.schedule).__name__}")
             return
         if self.schedule is None:
             object.__setattr__(self, "schedule", kind())

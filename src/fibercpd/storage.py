@@ -18,9 +18,9 @@ DFAC layout (truth-factor sidecar):
 
 CSV traces carry a header row `trial,full_iter,work_units,m_k,wall_seconds`,
 rows sorted by (trial, full_iter), preceded by `#`-prefixed `key=value`
-comment lines echoing the run configuration.  Averaged traces have the same
-layout with `solver` in place of `trial`.  All columns except
-wall_seconds are deterministic under a fixed seed.
+comment lines echoing the run configuration (`cli.config_echo` builds them).
+Averaged traces have the same layout with `solver` in place of `trial`.  All
+columns except wall_seconds are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import RunRecord
-from .sampling import RNG_ALGORITHM
-from .solvers import SolverConfig
 from .tensor import DenseTensor, KruskalModel
 
 TENSOR_MAGIC = b"DTEN"
@@ -110,42 +107,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def config_echo(cfgs: list[SolverConfig], dims, extra: dict | None = None) -> dict:
-    """The CSV config echo of one or more configs that differ at most in solver and
-    schedule (bench's average.csv): the solvers joined by commas, then every
-    schedule field once, in solver order, then `extra`."""
-    cfg = cfgs[0]
-    echo = {
-        "solver": ",".join(c.solver for c in cfgs),
-        "dims": ",".join(str(d) for d in dims),
-        "rank": cfg.rank,
-        "constraint": cfg.constraint,
-        "block": ",".join(str(b) for b in cfg.blocks_for(len(dims))),
-    }
-    for c in cfgs:
-        if c.schedule is not None:
-            echo.update(asdict(c.schedule))
-    echo.update({
-        "seed": cfg.seed,
-        "max_full_iters": cfg.max_full_iters,
-        "tol": "" if cfg.tol is None else cfg.tol,
-        "rng": RNG_ALGORITHM,
-    })
-    if extra:
-        echo.update(extra)
-    return echo
-
-
-def echo_lines(config: dict) -> list[str]:
-    return [f"# {key}={_fmt(value)}" for key, value in config.items()]
-
-
 def write_run_csv(path, records: list[RunRecord], config_echo: dict,
                   column: str = "trial") -> None:
     """Trace CSV after the config echo, one row per checkpoint.  The first column
     is each record's `column` attribute: `trial` for per-trial traces, `solver`
     for averaged ones (one record per solver); rows sorted by (column, full_iter)."""
-    lines = echo_lines(config_echo)
+    lines = [f"# {key}={_fmt(value)}" for key, value in config_echo.items()]
     lines.append(",".join((column, *CSV_COLUMNS[1:])))
     for rec in sorted(records, key=lambda r: getattr(r, column)):
         for cp in rec.checkpoints:

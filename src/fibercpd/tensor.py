@@ -1,4 +1,5 @@
-"""Dense tensor kernels: fiber gathers, Khatri-Rao rows, MTTKRP, norms.
+"""Dense tensor kernels: fiber gathers, Khatri-Rao rows, MTTKRP, norms and the
+reconstruction-error metric.
 
 Layout convention
 -----------------
@@ -39,10 +40,7 @@ The reconstruction error needs no reconstruction either:
     ||X - Xhat||^2 = ||X||^2 - 2 <mttkrp(X, model, N-1), A_{N-1}>
                      + sum(A_0^T A_0 * ... * A_{N-1}^T A_{N-1})
 
-(`*` elementwise).  experiments.metric evaluates it with ||X||^2 computed once
-per run, reuses the MTTKRP an ALS sweep ends with, and falls back to the
-exact form `objective` when the residual^2 is at most 1e-10 ||X||^2, where the
-subtraction cancels too many digits.
+(`*` elementwise), which `metric` evaluates.
 
 Modes are 0-based everywhere in this package.
 """
@@ -82,18 +80,6 @@ class DenseTensor:
     @property
     def order(self) -> int:
         return len(self.dims)
-
-    @property
-    def array(self) -> np.ndarray:
-        """N-d view of the flat storage (no copy)."""
-        return self.values.reshape(self.dims, order="F")
-
-    @classmethod
-    def from_array(cls, arr) -> "DenseTensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        return cls(arr.shape, arr.ravel(order="F"))
 
 
 @dataclass
@@ -136,16 +122,20 @@ def _check_mode(dims, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range for order-{len(dims)} tensor")
 
 
-def surviving_modes(dims, mode: int) -> list[int]:
-    """Modes other than `mode`, in increasing order (fastest unfolding index first)."""
-    _check_mode(dims, mode)
-    return [n for n in range(len(dims)) if n != mode]
-
-
 def row_count(dims, mode: int) -> int:
     """Number of rows J of the mode-`mode` unfolding (= number of mode fibers)."""
     _check_mode(dims, mode)
-    return math.prod(d for n, d in enumerate(dims) if n != mode)
+    return math.prod(dims[:mode]) * math.prod(dims[mode + 1:])
+
+
+def _fiber_rows(dims, mode: int, rows) -> np.ndarray:
+    """`rows` as int64 row indices of the mode-`mode` unfolding, `mode` and every
+    row checked in range."""
+    j = row_count(dims, mode)
+    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+    if rows.size and (rows.min() < 0 or rows.max() >= j):
+        raise ValueError(f"fiber row index out of range [0, {j})")
+    return rows
 
 
 def khatri_rao(a, b) -> np.ndarray:
@@ -178,11 +168,8 @@ def kr_rows(model: KruskalModel, mode: int, rows) -> np.ndarray:
     dims; the range check makes the last one's `%` a no-op, so it is skipped.
     """
     dims = model.dims
-    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-    j = row_count(dims, mode)
-    if rows.size and (rows.min() < 0 or rows.max() >= j):
-        raise ValueError(f"fiber row index out of range [0, {j})")
-    surv = surviving_modes(dims, mode)
+    rows = _fiber_rows(dims, mode, rows)
+    surv = [n for n in range(len(dims)) if n != mode]
     if not surv:
         return np.ones((rows.size, model.rank))
     first, *rest = surv
@@ -205,13 +192,9 @@ def gather_fiber_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
     matrix is built.  Touches exactly len(rows) * I_mode tensor entries.
     """
     dims = t.dims
-    _check_mode(dims, mode)
-    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+    rows = _fiber_rows(dims, mode, rows)
     left = math.prod(dims[:mode])
-    right = math.prod(dims[mode + 1:])
-    if rows.size and (rows.min() < 0 or rows.max() >= left * right):
-        raise ValueError(f"fiber row index out of range [0, {left * right})")
-    view = t.values.reshape(left, dims[mode], right, order="F")
+    view = t.values.reshape(left, dims[mode], -1, order="F")
     return view[rows % left, :, rows // left]
 
 
@@ -295,7 +278,8 @@ def reconstruct(model: KruskalModel) -> DenseTensor:
     if n_modes > len(_LETTERS):
         raise ValueError(f"order {n_modes} exceeds supported maximum {len(_LETTERS)}")
     expr = ",".join(_LETTERS[n] + "z" for n in range(n_modes)) + "->" + _LETTERS[:n_modes]
-    return DenseTensor.from_array(np.einsum(expr, *model.factors, optimize=True))
+    arr = np.einsum(expr, *model.factors, optimize=True)
+    return DenseTensor(model.dims, arr.ravel(order="F"))
 
 
 def frob_norm(t: DenseTensor) -> float:
@@ -315,3 +299,50 @@ def relative_error(t: DenseTensor, model: KruskalModel) -> float:
     if denom == 0.0:
         raise ValueError("relative error is undefined for the zero tensor")
     return math.sqrt(objective(t, model)) / denom
+
+
+def squared_norm(t: DenseTensor) -> float:
+    return float(t.values @ t.values)
+
+
+def hadamard_gram(model: KruskalModel, skip: int | None = None) -> np.ndarray:
+    """K^T K for the Khatri-Rao product of every factor but `skip` (None: all of
+    them), as the Hadamard product of factor Grams."""
+    out = np.ones((model.rank, model.rank))
+    for n, f in enumerate(model.factors):
+        if n != skip:
+            out *= f.T @ f
+    return out
+
+
+# below this residual^2 / ||t||^2 the Gram identity has cancelled too many
+# digits and the metric recomputes the residual from the reconstruction
+EXACT_METRIC_BELOW = 1e-10
+
+
+def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
+           last_mttkrp: np.ndarray | None = None) -> float:
+    """Relative reconstruction error ||t - reconstruct(model)||_F / ||t||_F.
+
+    Computed without the reconstruction by the Gram identity of the module
+    docs.  `norm_sq` (||t||^2) and `last_mttkrp` (the last mode's MTTKRP) may
+    be passed in when the caller already has them; ALS's sweep ends with that
+    MTTKRP.  The subtraction costs digits as the residual shrinks: the error
+    on m^2 is a few ulps of ||t||^2 + ||Xhat||^2, relative to ||t||^2.  When
+    the identity's residual^2 falls to EXACT_METRIC_BELOW * ||t||^2 or below,
+    the residual is formed exactly (`relative_error`) instead.  A NaN model
+    gives NaN.
+    """
+    _check_model_compatible(t, model)
+    if norm_sq is None:
+        norm_sq = squared_norm(t)
+    if norm_sq == 0.0:
+        raise ValueError("relative error is undefined for the zero tensor")
+    last = t.order - 1
+    if last_mttkrp is None:
+        last_mttkrp = _mttkrp(t, model.factors, last)
+    resid_sq = (norm_sq - 2.0 * float(np.vdot(last_mttkrp, model.factors[last]))
+                + float(hadamard_gram(model).sum()))
+    if resid_sq <= EXACT_METRIC_BELOW * norm_sq:
+        return relative_error(t, model)
+    return math.sqrt(resid_sq) / math.sqrt(norm_sq)

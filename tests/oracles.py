@@ -26,7 +26,7 @@ def oracle_unfold(t: DenseTensor, mode: int) -> np.ndarray:
     """Walk every multi-index and place the entry by the row-stride formula."""
     dims = t.dims
     out = np.zeros((row_count(dims, mode), dims[mode]))
-    arr = t.array
+    arr = t.values.reshape(dims, order="F")
     for multi in itertools.product(*(range(d) for d in dims)):
         row, stride = 0, 1
         for n, idx in enumerate(multi):

@@ -40,6 +40,18 @@ def test_synth_writes_tensor_truth_and_meta(tmp_path):
     assert meta["rank"] == 2 and meta["snr_db"] is None and meta["sigma"] == 0.0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--snr", "nan"], "error: snr_db must be finite, got nan"),
+    (["--snr", "inf"], "error: snr_db must be finite, got inf"),
+    (["--seed", "-1"], "error: seed must be >= 0"),
+])
+def test_synth_rejects_bad_spec(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.dten"
+    assert cli_main(["synth", "--dims", "4,3,2", "--rank", "2", *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_with_snr_matches_library_generation(tmp_path):
     out = tmp_path / "y.dten"
     assert cli_main(["synth", "--dims", "5,4,3", "--rank", "2", "--snr", "10",
@@ -227,6 +239,9 @@ def test_run_settings_validation(tmp_path, capsys):
     ([1, 2], "error: <cfg>: the config must be a JSON object"),
     ({"solvers": "als"}, 'error: solvers must be a list of solver names'),
     ({"solver": "als"}, "error: unknown config keys: ['solver']"),
+    ({"tol": math.nan}, "error: tol must be positive when given"),
+    ({"seed": -1}, "error: seed must be >= 0"),
+    ({"snr_db": math.nan}, "error: snr_db must be finite, got nan"),
 ])
 def test_bench_rejects_malformed_config(tmp_path, capsys, config, message):
     if isinstance(config, dict):

@@ -34,7 +34,6 @@ from fibercpd.tensor import (
     objective,
     reconstruct,
     row_count,
-    surviving_modes,
 )
 
 from oracles import allocating_prox_block_solve, per_mode_mttkrp
@@ -45,13 +44,18 @@ _LETTERS = "abcdefghijklmnopqrstuvwxy"
 def einsum_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
     # the rank-length ones stand in for the empty Khatri-Rao product at order 1,
     # where the einsum alone has no operand carrying the rank axis
-    operands, subs = [t.array, np.ones(model.rank)], [_LETTERS[:t.order], "z"]
+    arr = t.values.reshape(t.dims, order="F")
+    operands, subs = [arr, np.ones(model.rank)], [_LETTERS[:t.order], "z"]
     for n in range(t.order):
         if n != mode:
             operands.append(model.factors[n])
             subs.append(_LETTERS[n] + "z")
     expr = ",".join(subs) + "->" + _LETTERS[mode] + "z"
     return np.einsum(expr, *operands, optimize=True)
+
+
+def surviving_modes(dims, mode: int) -> list[int]:
+    return [n for n in range(len(dims)) if n != mode]
 
 
 def rows_to_digits(dims, mode: int, rows) -> np.ndarray:

@@ -762,6 +762,12 @@ def test_solver_config_validation():
         SolverConfig(solver="ascpd", rank=2, schedule=Adagrad())
     with pytest.raises(ValueError):
         SolverConfig(solver="ascpd", rank=2, tol=-1.0)
+    with pytest.raises(ValueError, match="^tol"):
+        SolverConfig(solver="ascpd", rank=2, tol=math.nan)
+    with pytest.raises(ValueError, match="^seed"):
+        SolverConfig(solver="ascpd", rank=2, seed=-1)
+    with pytest.raises(ValueError, match="als takes no schedule"):
+        SolverConfig(solver="als", rank=2, schedule=LocallyOptimal())
     with pytest.raises(ValueError, match="blocksizes"):
         SolverConfig(solver="ascpd", rank=2, blocksizes=0)
     with pytest.raises(ValueError, match="blocksizes"):

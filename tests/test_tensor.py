@@ -253,7 +253,7 @@ def test_partial_mttkrp_partition_property(dims, data):
 
 def test_reconstruct_rank1_outer_product():
     model = KruskalModel([np.array([[1.0], [2.0]]), np.ones((2, 1)), np.ones((2, 1))])
-    arr = reconstruct(model).array
+    arr = reconstruct(model).values.reshape(model.dims, order="F")
     np.testing.assert_array_equal(arr[0], np.ones((2, 2)))
     np.testing.assert_array_equal(arr[1], 2.0 * np.ones((2, 2)))
 
