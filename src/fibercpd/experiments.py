@@ -21,7 +21,8 @@ from . import solvers
 from .constraints import Constraint
 from .sampling import FiberSampler
 from .solvers import SolverConfig, full_iteration_cost, init_state
-from .tensor import DenseTensor, KruskalModel, frob_norm, metric, reconstruct, squared_norm
+from .tensor import (DenseTensor, KruskalModel, as_count, frob_norm, metric, reconstruct,
+                     squared_norm)
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("dims must be positive")
+        object.__setattr__(self, "dims", tuple(as_count(d, "dims") for d in self.dims))
+        object.__setattr__(self, "rank", as_count(self.rank, "rank"))
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", low=0))
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel, float]:
@@ -139,10 +136,8 @@ def run_trials(data, cfg: SolverConfig, trials: int) -> tuple[RunRecord, list[Ru
     SyntheticSpec (a fresh tensor is generated per trial with the trial seed).
     Returns (averaged record, per-trial records).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     records = []
-    for k in range(trials):
+    for k in range(as_count(trials, "trials")):
         seed_k = cfg.seed + k
         if isinstance(data, SyntheticSpec):
             tensor, _, _ = generate_synthetic(replace(data, seed=seed_k))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import row_count
+from .tensor import as_count, row_count
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +76,10 @@ class FiberSampler:
     """
 
     def __init__(self, dims, blocksizes, rng: np.random.Generator):
-        self.dims = tuple(int(d) for d in dims)
-        blocks = tuple(int(b) for b in blocksizes)
+        self.dims = tuple(as_count(d, "dims") for d in dims)
+        blocks = tuple(as_count(b, "blocksizes") for b in blocksizes)
         if len(blocks) != len(self.dims):
             raise ValueError("need one blocksize per mode")
-        if any(b < 1 for b in blocks):
-            raise ValueError(f"blocksizes must be >= 1, got {blocks}")
         self.rng = rng
         self.row_counts = tuple(row_count(self.dims, n) for n in range(len(self.dims)))
         for mode, (block, j_count) in enumerate(zip(blocks, self.row_counts)):

@@ -36,6 +36,7 @@ from .sampling import FiberSample
 from .tensor import (
     DenseTensor,
     KruskalModel,
+    as_count,
     gather_fiber_rows,
     hadamard_gram,
     kr_rows,
@@ -48,7 +49,8 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # step schedules
 # ---------------------------------------------------------------------------
-# Each bound is written as `not <rule>` so that NaN fails it too.
+# Each bound is written as `not <rule>` so that NaN fails it too, and every
+# bound is finite.
 
 @dataclass(frozen=True)
 class Diminishing:
@@ -58,8 +60,10 @@ class Diminishing:
     beta_exp: float = 1e-6
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be >= 0 and finite")
+        if not math.isfinite(self.beta_exp):
+            raise ValueError("beta_exp must be finite")
 
     def step(self, k: int) -> float:
         if k < 1:
@@ -76,12 +80,12 @@ class Adagrad:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
-        if not self.b >= 0:
-            raise ValueError("b must be >= 0")
-        if not self.eps >= 0:
-            raise ValueError("eps must be >= 0")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be > 0 and finite")
+        if not 0 <= self.b < math.inf:
+            raise ValueError("b must be >= 0 and finite")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError("eps must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,8 @@ class LocallyOptimal:
     cond: float = 100.0
 
     def __post_init__(self):
-        if not self.cond > 1:
-            raise ValueError("cond must be > 1")
+        if not 1 < self.cond < math.inf:
+            raise ValueError("cond must be > 1 and finite")
 
 
 Schedule = Diminishing | Adagrad | LocallyOptimal
@@ -113,7 +117,7 @@ def full_iteration_cost(dims) -> int:
     """The unit of work, one full iteration: 4 * prod(dims) tensor entries, the
     ALS sweep's cost counting its acceleration bookkeeping.  Every solver
     charges the entries its (partial) MTTKRPs touch against it."""
-    return 4 * math.prod(int(d) for d in dims)
+    return 4 * math.prod(dims)
 
 
 @dataclass
@@ -131,12 +135,12 @@ def init_state(rng: np.random.Generator, dims, rank: int, solver: str) -> Solver
     """Factors i.i.d. uniform [0,1); Y starts equal to A; accumulators start at zero."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
-    model = KruskalModel([rng.random((int(d), rank)) for d in dims])
+    model = KruskalModel([rng.random((d, rank)) for d in dims])
     state = SolverState(model=model)
     if solver == "ascpd":
         state.extrapolation = model.copy()
     if solver == "adacpd":
-        state.adagrad_accumulator = [np.zeros((int(d), rank)) for d in dims]
+        state.adagrad_accumulator = [np.zeros((d, rank)) for d in dims]
     return state
 
 
@@ -435,7 +439,7 @@ class SolverConfig:
     solver: str
     rank: int
     constraint: str = "none"
-    blocksizes: int | tuple[int, ...] = 1
+    blocksizes: int | tuple[int, ...] = 1      # stored as a tuple; one entry: every mode
     schedule: Schedule | None = None    # None: the solver's default schedule; ALS takes none
     seed: int = 0
     max_full_iters: int = 100
@@ -444,18 +448,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_full_iters < 0:
-            raise ValueError("max_full_iters must be >= 0")
+        for name, low in (("rank", 1), ("max_full_iters", 0), ("seed", 0)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, low))
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive when given")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
         Constraint(self.constraint)                   # raises on an unknown kind
-        blocks = (self.blocksizes,) if isinstance(self.blocksizes, int) else self.blocksizes
-        if any(b < 1 for b in blocks):
-            raise ValueError("blocksizes must be >= 1")
+        blocks = self.blocksizes if np.iterable(self.blocksizes) else (self.blocksizes,)
+        object.__setattr__(self, "blocksizes", tuple(as_count(b, "blocksizes") for b in blocks))
         kind = SCHEDULES.get(self.solver)
         if kind is None:
             if self.schedule is not None:
@@ -469,11 +468,10 @@ class SolverConfig:
                              f"got {type(self.schedule).__name__}")
 
     def blocks_for(self, order: int) -> tuple[int, ...]:
-        if isinstance(self.blocksizes, int):
-            return (self.blocksizes,) * order
-        blocks = tuple(int(b) for b in self.blocksizes)
-        if len(blocks) == 1:
-            return blocks * order
-        if len(blocks) != order:
-            raise ValueError(f"need {order} blocksizes, got {len(blocks)}")
-        return blocks
+        """One blocksize per mode of an order-`order` tensor: a single one is
+        broadcast to every mode, any other count must equal the order."""
+        if len(self.blocksizes) == 1:
+            return self.blocksizes * order
+        if len(self.blocksizes) != order:
+            raise ValueError(f"need {order} blocksizes, got {len(self.blocksizes)}")
+        return self.blocksizes

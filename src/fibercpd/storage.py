@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import RunRecord
-from .tensor import DenseTensor, KruskalModel
+from .tensor import DenseTensor, KruskalModel, as_count
 
 TENSOR_MAGIC = b"DTEN"
 FACTOR_MAGIC = b"DFAC"
@@ -89,6 +89,7 @@ def read_tensor(path) -> DenseTensor:
 
 def read_raw64(path, dims) -> DenseTensor:
     """Load a raw64 dump (a headerless DTEN payload) as a tensor of `dims`."""
+    dims = tuple(as_count(d, "dims") for d in dims)
     with open(path, "rb") as f:
         return DenseTensor(dims, _read_payload(f, path, dims))
 

@@ -56,6 +56,18 @@ import numpy as np
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
 
+def as_count(value, name: str, low: int = 1) -> int:
+    """`value`, a Python or NumPy integer >= `low`, as an int: the one rule for
+    every size and count (dims, rank, blocksizes, budget, seed, trials).
+    Anything else raises a ValueError naming `name`: a bool, a float (whole or
+    NaN), a string.  Nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass
 class DenseTensor:
     """Order-N dense real tensor with explicit flat storage (see module docs)."""
@@ -64,11 +76,9 @@ class DenseTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = tuple(as_count(d, "dims") for d in self.dims)
         if len(self.dims) == 0:
             raise ValueError("tensor must have at least one mode")
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be positive, got {self.dims}")
         self.values = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
         expected = math.prod(self.dims)
         if self.values.size != expected:
@@ -293,14 +303,6 @@ def objective(t: DenseTensor, model: KruskalModel) -> float:
     return float(resid @ resid)
 
 
-def relative_error(t: DenseTensor, model: KruskalModel) -> float:
-    """||t - reconstruct(model)||_F / ||t||_F; undefined for the zero tensor."""
-    denom = frob_norm(t)
-    if denom == 0.0:
-        raise ValueError("relative error is undefined for the zero tensor")
-    return math.sqrt(objective(t, model)) / denom
-
-
 def squared_norm(t: DenseTensor) -> float:
     return float(t.values @ t.values)
 
@@ -330,8 +332,8 @@ def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
     MTTKRP.  The subtraction costs digits as the residual shrinks: the error
     on m^2 is a few ulps of ||t||^2 + ||Xhat||^2, relative to ||t||^2.  When
     the identity's residual^2 falls to EXACT_METRIC_BELOW * ||t||^2 or below,
-    the residual is formed exactly (`relative_error`) instead.  A NaN model
-    gives NaN.
+    the residual is formed exactly (`objective`) instead.  Undefined for the
+    zero tensor.  A NaN model gives NaN.
     """
     _check_model_compatible(t, model)
     if norm_sq is None:
@@ -344,5 +346,5 @@ def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
     resid_sq = (norm_sq - 2.0 * float(np.vdot(last_mttkrp, model.factors[last]))
                 + float(hadamard_gram(model).sum()))
     if resid_sq <= EXACT_METRIC_BELOW * norm_sq:
-        return relative_error(t, model)
+        resid_sq = objective(t, model)
     return math.sqrt(resid_sq) / math.sqrt(norm_sq)

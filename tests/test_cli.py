@@ -274,6 +274,14 @@ def test_decompose_echoes_solver_config_defaults(tmp_path):
     (Adagrad, "eta", 0.0),
     (Adagrad, "b", -1e-3),
     (Adagrad, "eps", -1e-3),
+    # every bound is finite; argparse reads "-inf" as a flag, so test_solvers
+    # checks beta_exp = -inf in the library alone
+    (Diminishing, "alpha", math.inf),
+    (Diminishing, "beta_exp", math.nan),
+    (Adagrad, "eta", math.inf),
+    (Adagrad, "b", math.inf),
+    (Adagrad, "eps", math.inf),
+    (LocallyOptimal, "cond", math.inf),
 ])
 def test_out_of_range_hyperparameter_rejected_everywhere(tmp_path, capsys, kind, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must"):

@@ -786,6 +786,8 @@ def test_schedule_validation():
         Adagrad(eta=0.0)
     with pytest.raises(ValueError):
         Diminishing(alpha=-0.1)
+    with pytest.raises(ValueError, match="^beta_exp must be finite"):
+        Diminishing(beta_exp=-math.inf)
 
 
 def test_init_state_shapes_and_ranges():

@@ -14,10 +14,10 @@ from fibercpd.tensor import (
     gather_fiber_rows,
     khatri_rao,
     kr_rows,
+    metric,
     mttkrp,
     objective,
     reconstruct,
-    relative_error,
     row_count,
 )
 from oracles import oracle_kr_full, oracle_unfold
@@ -298,8 +298,8 @@ def test_frob_norm_all_ones():
 
 def test_relative_error_zero_tensor_rejected():
     model = KruskalModel([np.ones((2, 1)), np.ones((2, 1))])
-    with pytest.raises(ValueError):
-        relative_error(DenseTensor((2, 2), np.zeros(4)), model)
+    with pytest.raises(ValueError, match="undefined for the zero tensor"):
+        metric(DenseTensor((2, 2), np.zeros(4)), model)
 
 
 # ---------------------------------------------------------------------------
