@@ -23,7 +23,6 @@ from .tensor import (
     DenseTensor,
     KruskalModel,
     frob_norm,
-    khatri_rao,
     kr_rows,
     metric,
     mttkrp,

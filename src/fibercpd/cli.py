@@ -96,21 +96,12 @@ def config_echo(cfgs: list[SolverConfig], dims, extra: dict) -> dict:
     return echo
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad dims {text!r}: {exc}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dims must be positive integers, got {text!r}")
-    return dims
-
-
-def _parse_blocks(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """A comma list of integers (--dims, --block); the library checks their range."""
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad blocksizes {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic low-rank tensor file")
-    p.add_argument("--dims", type=_parse_dims, required=True, metavar="I1,I2,...")
+    p.add_argument("--dims", type=_parse_ints, required=True, metavar="I1,I2,...")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--snr", type=float, default=None, help="target SNR in dB; omit for noiseless")
     p.add_argument("--seed", type=int, default=0)
@@ -132,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input .dten path")
     p.add_argument("--solver", choices=SOLVERS, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--block", type=_parse_blocks, default=None,
+    p.add_argument("--block", type=_parse_ints, default=None,
                    help="fiber blocksize (single int or one per mode)")
     for kind in SCHEDULE_KINDS:
         users = "/".join(s for s, k in SCHEDULES.items() if k is kind)
@@ -155,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="wrap a raw float64 dump as a tensor file")
     p.add_argument("--from", dest="from_format", choices=["raw64"], required=True)
-    p.add_argument("--dims", type=_parse_dims, required=True, metavar="I1,I2,...")
+    p.add_argument("--dims", type=_parse_ints, required=True, metavar="I1,I2,...")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert)
@@ -170,14 +161,7 @@ def cmd_synth(args) -> int:
     truth_path = Path(str(out) + ".truth.dfac")
     write_tensor(noisy, out)
     write_factors(truth, truth_path)
-    meta = {
-        "dims": list(spec.dims),
-        "rank": spec.rank,
-        "snr_db": spec.snr_db,
-        "seed": spec.seed,
-        "sigma": sigma,
-        "rng": RNG_ALGORITHM,
-    }
+    meta = {**asdict(spec), "sigma": sigma, "rng": RNG_ALGORITHM}
     Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n",
                                              encoding="utf-8")
     print(f"wrote {out} ({noisy.values.size} values), truth factors in {truth_path}")

@@ -21,8 +21,8 @@ from . import solvers
 from .constraints import Constraint
 from .sampling import FiberSampler
 from .solvers import SolverConfig, full_iteration_cost, init_state
-from .tensor import (DenseTensor, KruskalModel, as_count, frob_norm, metric, reconstruct,
-                     squared_norm)
+from .tensor import (DenseTensor, KruskalModel, as_count, as_dims, frob_norm, metric,
+                     reconstruct, squared_norm)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(as_count(d, "dims") for d in self.dims))
+        object.__setattr__(self, "dims", as_dims(self.dims))
         object.__setattr__(self, "rank", as_count(self.rank, "rank"))
         object.__setattr__(self, "seed", as_count(self.seed, "seed", low=0))
         if self.snr_db is not None and not math.isfinite(self.snr_db):

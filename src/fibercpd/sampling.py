@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_count, row_count
+from .tensor import as_count, as_dims, row_count
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +76,7 @@ class FiberSampler:
     """
 
     def __init__(self, dims, blocksizes, rng: np.random.Generator):
-        self.dims = tuple(as_count(d, "dims") for d in dims)
+        self.dims = as_dims(dims)
         blocks = tuple(as_count(b, "blocksizes") for b in blocksizes)
         if len(blocks) != len(self.dims):
             raise ValueError("need one blocksize per mode")

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import RunRecord
-from .tensor import DenseTensor, KruskalModel, as_count
+from .tensor import DenseTensor, KruskalModel, as_dims
 
 TENSOR_MAGIC = b"DTEN"
 FACTOR_MAGIC = b"DFAC"
@@ -89,7 +89,7 @@ def read_tensor(path) -> DenseTensor:
 
 def read_raw64(path, dims) -> DenseTensor:
     """Load a raw64 dump (a headerless DTEN payload) as a tensor of `dims`."""
-    dims = tuple(as_count(d, "dims") for d in dims)
+    dims = as_dims(dims)
     with open(path, "rb") as f:
         return DenseTensor(dims, _read_payload(f, path, dims))
 
@@ -121,23 +121,3 @@ def write_run_csv(path, records: list[RunRecord], config_echo: dict,
                          f"{_fmt(float(cp.m))},{_fmt(float(cp.wall_seconds))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def read_run_csv(path) -> tuple[dict, list[dict]]:
-    """Parse a trace CSV back into (config echo, row dicts)."""
-    echo: dict[str, str] = {}
-    rows: list[dict] = []
-    header: list[str] | None = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            echo[key.strip()] = value
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        parts = line.split(",")
-        row = dict(zip(header, parts))
-        rows.append(row)
-    return echo, rows

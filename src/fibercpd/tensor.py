@@ -68,6 +68,19 @@ def as_count(value, name: str, low: int = 1) -> int:
     return int(value)
 
 
+def as_dims(dims) -> tuple[int, ...]:
+    """`dims`, a sequence of at least one count (`as_count`), as a tuple of ints:
+    the one rule for a tensor's shape.  A non-sequence or an empty sequence
+    raises a ValueError naming dims."""
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise ValueError(f"dims must be a sequence of integers, got {dims!r}") from None
+    if not dims:
+        raise ValueError("dims must have at least one entry, got ()")
+    return tuple(as_count(d, "dims") for d in dims)
+
+
 @dataclass
 class DenseTensor:
     """Order-N dense real tensor with explicit flat storage (see module docs)."""
@@ -76,9 +89,7 @@ class DenseTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(as_count(d, "dims") for d in self.dims)
-        if len(self.dims) == 0:
-            raise ValueError("tensor must have at least one mode")
+        self.dims = as_dims(self.dims)
         self.values = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
         expected = math.prod(self.dims)
         if self.values.size != expected:
@@ -148,23 +159,12 @@ def _fiber_rows(dims, mode: int, rows) -> np.ndarray:
     return rows
 
 
-def khatri_rao(a, b) -> np.ndarray:
-    """Columnwise Kronecker product; the row index of `b` varies fastest."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("khatri_rao expects matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}")
-    out = a[:, None, :] * b[None, :, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1])
-
-
 def _kr_chain(factors, rank: int) -> np.ndarray:
-    """Khatri-Rao product of `factors` with the first one fastest; 1 x rank ones if empty."""
+    """Khatri-Rao (columnwise Kronecker) product of `factors` with the first one
+    fastest; 1 x rank ones if empty.  No validation."""
     out = np.ones((1, rank))
     for f in factors:
-        out = khatri_rao(f, out)
+        out = (f[:, None, :] * out[None, :, :]).reshape(-1, rank)
     return out
 
 

@@ -5,7 +5,8 @@ Khatri-Rao product entry by entry from the row-stride formula of the layout
 convention (see `fibercpd.tensor`); `fd_sampled_gradient` differentiates the
 sampled objective built from them by central finite differences.
 `read_dfac` parses the factor sidecar that `synth` writes by its documented
-layout; the package itself has no reader for it.
+layout, and `read_run_csv` a trace CSV; the package itself has no reader for
+either.
 
 `per_mode_mttkrp` and `allocating_prox_block_solve` are kernels the package
 replaced, kept as the references of its differential tests.
@@ -87,6 +88,25 @@ def read_dfac(path) -> KruskalModel:
         offset += 8 * d * rank
     assert offset == len(raw), "DFAC payload length"
     return KruskalModel(factors)
+
+
+def read_run_csv(path) -> tuple[dict, list[dict]]:
+    """A trace CSV as (config echo, row dicts), every value a string: `# key=value`
+    comment lines, then the header row, then one row per checkpoint."""
+    echo: dict[str, str] = {}
+    rows: list[dict] = []
+    header: list[str] | None = None
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            echo[key.strip()] = value
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(dict(zip(header, line.split(","))))
+    return echo, rows
 
 
 def per_mode_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:

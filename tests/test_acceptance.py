@@ -38,7 +38,6 @@ from fibercpd.solvers import (
     init_state,
     sampled_gradient,
 )
-from fibercpd.storage import read_run_csv
 from fibercpd.tensor import (
     DenseTensor,
     KruskalModel,
@@ -50,7 +49,7 @@ from fibercpd.tensor import (
     reconstruct,
     row_count,
 )
-from oracles import fd_sampled_gradient, oracle_kr_full, oracle_unfold
+from oracles import fd_sampled_gradient, oracle_kr_full, oracle_unfold, read_run_csv
 
 
 def _report(num, name, ok, elapsed, budget=None):

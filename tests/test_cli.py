@@ -16,9 +16,9 @@ from fibercpd.solvers import (
     full_iteration_cost,
     init_state,
 )
-from fibercpd.storage import read_run_csv, read_tensor, write_tensor
+from fibercpd.storage import read_tensor, write_tensor
 from fibercpd.tensor import DenseTensor, reconstruct
-from oracles import read_dfac
+from oracles import read_dfac, read_run_csv
 
 
 def rows_without_wall(path):
@@ -44,6 +44,7 @@ def test_synth_writes_tensor_truth_and_meta(tmp_path):
     (["--snr", "nan"], "error: snr_db must be finite, got nan"),
     (["--snr", "inf"], "error: snr_db must be finite, got inf"),
     (["--seed", "-1"], "error: seed must be >= 0"),
+    (["--dims", "0,3"], "error: dims must be >= 1, got 0"),
 ])
 def test_synth_rejects_bad_spec(tmp_path, capsys, flags, message):
     out = tmp_path / "x.dten"
@@ -127,6 +128,16 @@ def test_convert_raw64_roundtrip(tmp_path):
                      "--in", str(raw_path), "--out", str(out)])
     assert code == 0
     assert np.array_equal(read_tensor(out).values, values)
+
+
+def test_convert_rejects_a_zero_dim(tmp_path, capsys):
+    raw_path = tmp_path / "cube.raw"
+    np.zeros(2).astype("<f8").tofile(raw_path)
+    out = tmp_path / "c.dten"
+    assert cli_main(["convert", "--from", "raw64", "--dims", "2,0",
+                     "--in", str(raw_path), "--out", str(out)]) == 1
+    assert "error: dims must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_wrong_count(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every size and count (dims, rank, blocksizes, budget, seed, trials) passes one
 checked conversion, `tensor.as_count`: a Python or NumPy integer at or above
 its bound is accepted, anything else raises a ValueError naming the setting,
-and nothing is truncated."""
+and nothing is truncated.  A tensor's dims as a whole pass `tensor.as_dims`:
+a sequence of at least one count."""
 
 import math
 
@@ -13,7 +14,7 @@ from fibercpd.experiments import SyntheticSpec, run_trials
 from fibercpd.sampling import FiberSampler
 from fibercpd.solvers import SolverConfig
 from fibercpd.storage import read_raw64, write_run_csv
-from fibercpd.tensor import DenseTensor, as_count
+from fibercpd.tensor import DenseTensor, as_count, as_dims
 
 
 def _raw64(path):
@@ -66,6 +67,29 @@ def test_count_accepts_numpy_integers(tmp_path, entry):
     _, _, call = ENTRY_POINTS[entry]
     call(np.int64(2), tmp_path)
     call(np.uint8(2), tmp_path)
+
+
+# entry point -> call with a whole dims value in place of (2, 2)
+DIMS_ENTRY_POINTS = {
+    "DenseTensor": lambda dims, path: DenseTensor(dims, np.zeros(4)),
+    "SyntheticSpec": lambda dims, path: SyntheticSpec(dims, 1),
+    "FiberSampler": lambda dims, path: FiberSampler(dims, (1, 1), _rng()),
+    "read_raw64": lambda dims, path: read_raw64(_raw64(path / "t.raw"), dims),
+}
+
+
+@pytest.mark.parametrize("bad", [(), 5], ids=["empty", "non-sequence"])
+@pytest.mark.parametrize("entry", DIMS_ENTRY_POINTS)
+def test_dims_rejects_empty_and_non_sequence(tmp_path, entry, bad):
+    DIMS_ENTRY_POINTS[entry]((2, 2), tmp_path)
+    with pytest.raises(ValueError, match="^dims must "):
+        DIMS_ENTRY_POINTS[entry](bad, tmp_path)
+
+
+def test_as_dims_returns_a_tuple_of_python_ints():
+    for dims in ([3, 4], (3, 4), np.array([3, 4])):
+        out = as_dims(dims)
+        assert out == (3, 4) and all(type(d) is int for d in out)
 
 
 def test_as_count_returns_a_python_int():

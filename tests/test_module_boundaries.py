@@ -1,8 +1,11 @@
-"""No module of the package uses another module's `_`-prefixed names.
+"""No module of the package uses another module's `_`-prefixed names, and every
+public name it defines is used by the system, not only by tests.
 
 A leading underscore marks a name as its module's own; a sibling that needs it
 should get it from a public name, or the code belongs in the module that owns
-it.  The check parses the sources, so it needs no import of the package.
+it.  A public function, class or method that nothing in `src/`, `perfbench/` or
+`scripts/` names is test-only code, which belongs in `tests/`.  Both checks
+parse the sources.
 """
 
 import ast
@@ -10,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibercpd"
+from fibercpd.solvers import SCHEDULES
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fibercpd"
+# the system: the package without its re-export list, and the tools that drive it
+SYSTEM = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"] + [
+    p for d in ("perfbench", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def private_uses(source: str) -> list[str]:
@@ -44,3 +53,57 @@ def test_the_check_sees_private_imports_and_attributes():
               "x = solvers._cap_bounds\n"
               "y = solvers.eigen_extremes\n")
     assert private_uses(source) == ["from .tensor import _mttkrp", "solvers._cap_bounds"]
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public top-level functions and classes of `source`, and public methods of
+    its classes (as `Class.method`)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name `source` reads: an ast.Name, an attribute, or an imported name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def unreferenced(definitions: dict[str, str], sources: list[str]) -> list[str]:
+    """`module.name` of each public definition (module -> source) that no source
+    references by name."""
+    used = set().union(*map(referenced_names, sources))
+    return [f"{module}.{name}" for module, source in definitions.items()
+            for name in public_definitions(source) if name.split(".")[-1] not in used]
+
+
+def test_src_holds_only_what_the_system_runs():
+    definitions = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    sources = [p.read_text(encoding="utf-8") for p in SYSTEM]
+    # `run` looks each stochastic step up by name: f"{cfg.solver}_iteration"
+    sources.append("\n".join(f"{solver}_iteration" for solver in SCHEDULES))
+    assert unreferenced(definitions, sources) == []
+
+
+def test_the_check_sees_unreferenced_functions_and_methods():
+    definitions = {"m": ("def used(): pass\n"
+                         "def unused(): pass\n"
+                         "def _private(): pass\n"
+                         "class Kind:\n"
+                         "    def called(self): pass\n"
+                         "    def never(self): pass\n"
+                         "    def __repr__(self): pass\n")}
+    sources = ["from m import used as alias\n", "Kind().called()\n"]
+    assert unreferenced(definitions, sources) == ["m.unused", "m.Kind.never"]

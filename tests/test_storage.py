@@ -7,14 +7,13 @@ import pytest
 from fibercpd.experiments import Checkpoint, RunRecord
 from fibercpd.storage import (
     FileFormatError,
-    read_run_csv,
     read_tensor,
     write_factors,
     write_run_csv,
     write_tensor,
 )
 from fibercpd.tensor import DenseTensor, KruskalModel
-from oracles import read_dfac
+from oracles import read_dfac, read_run_csv
 
 
 def random_tensor(seed, dims=(3, 4, 5)):

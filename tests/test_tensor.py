@@ -10,9 +10,9 @@ from fibercpd.solvers import sampled_gradient
 from fibercpd.tensor import (
     DenseTensor,
     KruskalModel,
+    _kr_chain,
     frob_norm,
     gather_fiber_rows,
-    khatri_rao,
     kr_rows,
     metric,
     mttkrp,
@@ -98,7 +98,7 @@ def test_gather_fiber_rows_matches_unfold():
 
 
 # ---------------------------------------------------------------------------
-# khatri_rao / kr_rows
+# Khatri-Rao chain / kr_rows
 # ---------------------------------------------------------------------------
 
 
@@ -106,27 +106,22 @@ def test_khatri_rao_known():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
     expected = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 4.0], [3.0, 0.0]])
-    np.testing.assert_array_equal(khatri_rao(a, b), expected)
+    np.testing.assert_array_equal(_kr_chain([b, a], 2), expected)
 
 
 def test_khatri_rao_ones_identities():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((4, 3))
     ones = np.ones((1, 3))
-    np.testing.assert_array_equal(khatri_rao(ones, b), b)
-    np.testing.assert_array_equal(khatri_rao(b, ones), b)
-
-
-def test_khatri_rao_column_mismatch():
-    with pytest.raises(ValueError):
-        khatri_rao(np.zeros((2, 2)), np.zeros((2, 3)))
+    np.testing.assert_array_equal(_kr_chain([b, ones], 3), b)
+    np.testing.assert_array_equal(_kr_chain([ones, b], 3), b)
 
 
 def test_kr_full_mode_ordering_three_way():
     rng = np.random.default_rng(4)
     model = KruskalModel([rng.standard_normal((d, 2)) for d in (2, 3, 4)])
     # dropping the middle mode leaves last-times-first, last mode slowest
-    expected = khatri_rao(model.factors[2], model.factors[0])
+    expected = _kr_chain([model.factors[0], model.factors[2]], 2)
     np.testing.assert_array_equal(kr_rows(model, 1, all_rows(model.dims, 1)), expected)
 
 
