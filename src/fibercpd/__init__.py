@@ -22,7 +22,6 @@ from .storage import read_tensor, write_tensor
 from .tensor import (
     DenseTensor,
     KruskalModel,
-    frob_norm,
     kr_rows,
     metric,
     mttkrp,

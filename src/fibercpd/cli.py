@@ -12,14 +12,7 @@ from .constraints import CONSTRAINT_KINDS
 from .experiments import SyntheticSpec, generate_synthetic, run, run_trials
 from .sampling import RNG_ALGORITHM
 from .solvers import SCHEDULES, SOLVERS, SolverConfig
-from .storage import (
-    FileFormatError,
-    read_raw64,
-    read_tensor,
-    write_factors,
-    write_run_csv,
-    write_tensor,
-)
+from .storage import read_raw64, read_tensor, write_factors, write_run_csv, write_tensor
 
 # each schedule type once, in solver order; every field of one is a
 # hyperparameter with a `decompose` flag and a bench JSON key of its name
@@ -261,7 +254,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, FileFormatError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

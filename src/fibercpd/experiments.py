@@ -21,8 +21,8 @@ from . import solvers
 from .constraints import Constraint
 from .sampling import FiberSampler
 from .solvers import SolverConfig, full_iteration_cost, init_state
-from .tensor import (DenseTensor, KruskalModel, as_count, as_dims, frob_norm, metric,
-                     reconstruct, squared_norm)
+from .tensor import (DenseTensor, KruskalModel, as_count, as_dims, metric, reconstruct,
+                     squared_norm)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel, 
     if spec.snr_db is None:
         return clean, truth, 0.0
     noise = rng.standard_normal(clean.values.size)
-    sigma = frob_norm(clean) / (math.sqrt(10.0 ** (spec.snr_db / 10.0)) * np.linalg.norm(noise))
+    scale = math.sqrt(10.0 ** (spec.snr_db / 10.0)) * np.linalg.norm(noise)
+    sigma = math.sqrt(squared_norm(clean)) / scale
     noise *= sigma            # in place: the same IEEE operations as clean + sigma * noise
     noise += clean.values
     return DenseTensor(spec.dims, noise), truth, float(sigma)
@@ -98,9 +99,6 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0) -> RunRecord:
     norm_sq = squared_norm(t)
     m0 = metric(t, state.model, norm_sq)
     checkpoints = [Checkpoint(0, 0, m0, 0.0)]
-    record = RunRecord(solver=cfg.solver, seed=cfg.seed, trial=trial, checkpoints=checkpoints)
-    if cfg.max_full_iters == 0 or (cfg.tol is not None and m0 <= cfg.tol):
-        return record
 
     # the step is read from the solvers module once per run, so a function
     # rebound there (a tracer, a test double) is the one that runs
@@ -116,17 +114,16 @@ def run(t: DenseTensor, cfg: SolverConfig, trial: int = 0) -> RunRecord:
         def step():
             iteration(state, t, sampler.draw(), constraint, cfg.schedule)
 
-    index = 0
-    while True:
+    # the one stop condition; written `not m <= tol` so that a NaN m never stops
+    index, m = 0, m0
+    while index < cfg.max_full_iters and not (cfg.tol is not None and m <= cfg.tol):
         last_mttkrp = step()
-        if state.work_units // cost == index:
-            continue
-        index = state.work_units // cost
-        m = metric(t, state.model, norm_sq, last_mttkrp)
-        checkpoints.append(Checkpoint(index, state.work_units, m,
-                                      time.perf_counter() - start))
-        if index >= cfg.max_full_iters or (cfg.tol is not None and m <= cfg.tol):
-            return record
+        if state.work_units // cost > index:
+            index = state.work_units // cost
+            m = metric(t, state.model, norm_sq, last_mttkrp)
+            checkpoints.append(Checkpoint(index, state.work_units, m,
+                                          time.perf_counter() - start))
+    return RunRecord(solver=cfg.solver, seed=cfg.seed, trial=trial, checkpoints=checkpoints)
 
 
 def run_trials(data, cfg: SolverConfig, trials: int) -> tuple[RunRecord, list[RunRecord]]:

@@ -79,7 +79,7 @@ class FiberSampler:
         self.dims = as_dims(dims)
         blocks = tuple(as_count(b, "blocksizes") for b in blocksizes)
         if len(blocks) != len(self.dims):
-            raise ValueError("need one blocksize per mode")
+            raise ValueError(f"need {len(self.dims)} blocksizes, got {len(blocks)}")
         self.rng = rng
         self.row_counts = tuple(row_count(self.dims, n) for n in range(len(self.dims)))
         for mode, (block, j_count) in enumerate(zip(blocks, self.row_counts)):

@@ -379,7 +379,7 @@ def _prox_block_solve(a0: np.ndarray, gram: np.ndarray, rhs: np.ndarray,
     L, mu = eigen_extremes(gram)
     if L <= 0.0:
         return a0
-    beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
+    beta = CurvatureEstimate(L, mu, 0.0).beta
     # three buffers updated in place, none of them a0 (the model's factor):
     # the iterate pair swaps each step, and `diff` holds a_new - a_prev and
     # then, scaled and shifted, the extrapolated point y the next step reads

@@ -208,14 +208,11 @@ def gather_fiber_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
     return view[rows % left, :, rows // left]
 
 
-def _check_model_compatible(t: DenseTensor, model: KruskalModel, skip: int | None = None):
-    for n, f in enumerate(model.factors):
-        if n == skip:
-            continue
-        if f.shape[0] != t.dims[n]:
-            raise ValueError(f"factor {n} has {f.shape[0]} rows, tensor dim is {t.dims[n]}")
-    if model.order != t.order:
-        raise ValueError(f"model order {model.order} != tensor order {t.order}")
+def _check_model(t: DenseTensor, model: KruskalModel) -> None:
+    """The one rule for a model against a tensor: one factor per mode, each with
+    that mode's row count."""
+    if model.dims != t.dims:
+        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
 
 
 def _last_factor_partial(t: DenseTensor, last_factor: np.ndarray) -> np.ndarray:
@@ -278,7 +275,7 @@ def mttkrp(t: DenseTensor, model: KruskalModel, mode: int,
     without it, bit for bit.
     """
     _check_mode(t.dims, mode)
-    _check_model_compatible(t, model, skip=mode)
+    _check_model(t, model)
     return _mttkrp(t, model.factors, mode, shared)
 
 
@@ -292,13 +289,9 @@ def reconstruct(model: KruskalModel) -> DenseTensor:
     return DenseTensor(model.dims, arr.ravel(order="F"))
 
 
-def frob_norm(t: DenseTensor) -> float:
-    return float(np.linalg.norm(t.values))
-
-
 def objective(t: DenseTensor, model: KruskalModel) -> float:
     """Squared Frobenius norm of the residual between `t` and the model."""
-    _check_model_compatible(t, model)
+    _check_model(t, model)
     resid = t.values - reconstruct(model).values
     return float(resid @ resid)
 
@@ -335,7 +328,7 @@ def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
     the residual is formed exactly (`objective`) instead.  Undefined for the
     zero tensor.  A NaN model gives NaN.
     """
-    _check_model_compatible(t, model)
+    _check_model(t, model)
     if norm_sq is None:
         norm_sq = squared_norm(t)
     if norm_sq == 0.0:

@@ -14,8 +14,8 @@ from fibercpd.experiments import (
     run,
     run_trials,
 )
-from fibercpd.solvers import SolverConfig
-from fibercpd.tensor import DenseTensor, frob_norm, objective, reconstruct
+from fibercpd.solvers import Diminishing, SolverConfig
+from fibercpd.tensor import DenseTensor, objective, reconstruct
 
 
 def small_cfg(solver="ascpd", **kw):
@@ -42,7 +42,7 @@ def test_generate_snr_realized_exactly():
         noisy, truth, sigma = generate_synthetic(spec)
         clean = reconstruct(truth)
         noise = (noisy.values - clean.values) / sigma
-        realized = frob_norm(clean) ** 2 / (sigma ** 2 * float(noise @ noise))
+        realized = np.linalg.norm(clean.values) ** 2 / (sigma ** 2 * float(noise @ noise))
         target = 10.0 ** (snr_db / 10.0)
         assert abs(realized - target) <= 1e-12 * target
 
@@ -92,7 +92,7 @@ def test_metric_equals_objective_identity():
     model = truth.copy()
     model.factors[0] += 0.1 * rng.standard_normal(model.factors[0].shape)
     lhs = metric(noisy, model)
-    rhs = math.sqrt(objective(noisy, model)) / frob_norm(noisy)
+    rhs = math.sqrt(objective(noisy, model)) / np.linalg.norm(noisy.values)
     assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
@@ -114,6 +114,23 @@ def test_run_zero_budget_only_initial_checkpoint():
     assert len(rec.checkpoints) == 1
     assert rec.checkpoints[0].full_iter == 0
     assert rec.checkpoints[0].work_units == 0
+
+
+def test_run_zero_budget_still_checks_blocksizes():
+    noisy, _, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, snr_db=20.0, seed=9))
+    with pytest.raises(ValueError, match="need 3 blocksizes, got 2"):
+        run(noisy, small_cfg(blocksizes=(3, 3), max_full_iters=0))
+
+
+def test_run_nan_metric_does_not_stop_at_tolerance():
+    # a diverging trial reads m = nan, which is not <= tol: it runs its budget
+    clean, _, _ = generate_synthetic(SyntheticSpec((20, 20, 20), 5, seed=0))
+    cfg = SolverConfig("brascpd", 5, blocksizes=20, schedule=Diminishing(alpha=50.0),
+                       max_full_iters=3, tol=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run(clean, cfg)
+    assert [c.full_iter for c in rec.checkpoints] == [0, 1, 2, 3]
+    assert all(math.isnan(c.m) for c in rec.checkpoints[1:])
 
 
 def records_equal_modulo_wall(a: RunRecord, b: RunRecord) -> bool:

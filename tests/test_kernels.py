@@ -27,7 +27,6 @@ from fibercpd.solvers import SolverConfig, _prox_block_solve, als_sweep, init_st
 from fibercpd.tensor import (
     DenseTensor,
     KruskalModel,
-    frob_norm,
     gather_fiber_rows,
     kr_rows,
     mttkrp,
@@ -98,7 +97,7 @@ def index_matrix_gather(t: DenseTensor, mode: int, rows) -> np.ndarray:
 
 
 def exact_metric(t: DenseTensor, model: KruskalModel) -> float:
-    return math.sqrt(objective(t, model)) / frob_norm(t)
+    return math.sqrt(objective(t, model)) / np.linalg.norm(t.values)
 
 
 def rel_err(a, b):
@@ -170,6 +169,12 @@ def test_mttkrp_validates_inputs():
     wrong = KruskalModel([np.ones((3, 2)), np.ones((5, 2)), np.ones((5, 2))])
     with pytest.raises(ValueError):
         mttkrp(t, wrong, 0)
+    extra = KruskalModel([np.ones((d, 2)) for d in (3, 4, 5, 6)])
+    with pytest.raises(ValueError, match="model dims"):
+        mttkrp(t, extra, 0)
+    # only the factor of the MTTKRP's own mode is the wrong size
+    with pytest.raises(ValueError, match="model dims"):
+        mttkrp(t, wrong, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +345,11 @@ def test_metric_rejects_incompatible_model():
     t, _ = instance(7, (3, 4, 5), 2)
     with pytest.raises(ValueError):
         metric(t, KruskalModel([np.ones((3, 2)), np.ones((4, 2)), np.ones((6, 2))]))
+    extra = KruskalModel([np.ones((d, 2)) for d in (3, 4, 5, 6)])
+    with pytest.raises(ValueError, match="model dims"):
+        metric(t, extra)
+    with pytest.raises(ValueError, match="model dims"):
+        objective(t, extra)
 
 
 @pytest.mark.parametrize("constraint", ["none", "nonneg"])
