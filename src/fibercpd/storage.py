@@ -46,9 +46,11 @@ class FileFormatError(ValueError):
 
 
 def write_tensor(t: DenseTensor, path) -> None:
+    """The header, then the payload from the tensor's own buffer, with no copy."""
     header = struct.pack("<4sHH", TENSOR_MAGIC, FORMAT_VERSION, t.order)
-    header += np.asarray(t.dims, dtype="<u8").tobytes()
-    Path(path).write_bytes(header + t.values.astype("<f8", copy=False).tobytes())
+    with open(path, "wb") as f:
+        f.write(header + np.asarray(t.dims, dtype="<u8").tobytes())
+        t.values.astype("<f8", copy=False).tofile(f)
 
 
 def _read_payload(f, path, dims) -> np.ndarray:
@@ -95,11 +97,12 @@ def read_raw64(path, dims) -> DenseTensor:
 
 
 def write_factors(model: KruskalModel, path) -> None:
+    """The header, then each factor column-major from its own buffer, with no copy."""
     header = struct.pack("<4sHHQ", FACTOR_MAGIC, FORMAT_VERSION, model.order, model.rank)
-    header += np.asarray(model.dims, dtype="<u8").tobytes()
-    body = b"".join(f.astype("<f8", copy=False).ravel(order="F").tobytes()
-                    for f in model.factors)
-    Path(path).write_bytes(header + body)
+    with open(path, "wb") as out:
+        out.write(header + np.asarray(model.dims, dtype="<u8").tobytes())
+        for f in model.factors:
+            f.astype("<f8", copy=False).T.tofile(out)
 
 
 def _fmt(value) -> str:

@@ -27,10 +27,11 @@ A full MTTKRP rests on one tensor-sized GEMM, which always takes the tensor
 operand C-contiguous and untransposed: a BLAS GEMM streams that form faster
 than a transposed one (up to 2x on OpenBLAS for these shapes), and the tensor
 is by far the largest operand.  The last mode's storage is the C-contiguous
-(I_{N-1}, L) matrix, contracted with the Khatri-Rao product of the other
-factors.  Every other mode starts from the same partial product
-P = A_{N-1}^T X^T, with X^T the C-contiguous (I_{N-1}, prod of the other
-dims) view of the storage, and reduces it against the remaining factors.
+(I_{N-1}, L) matrix, contracted with the Khatri-Rao product K of the other
+factors; `reconstruct` writes that same matrix with one GEMM, A_{N-1} K^T.
+Every other mode starts from the same partial product P = A_{N-1}^T X^T, with
+X^T the C-contiguous (I_{N-1}, prod of the other dims) view of the storage,
+and reduces it against the remaining factors.
 Since P depends on the last factor only, one P serves every mode but the last
 of an ALS sweep (a two-level dimension tree): a 3-way sweep makes two
 tensor-sized GEMMs, not three.
@@ -51,10 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# rank axis uses 'z'; tensor modes take a..y, which caps the order at 25
-_LETTERS = "abcdefghijklmnopqrstuvwxy"
-
 
 def as_count(value, name: str, low: int = 1) -> int:
     """`value`, a Python or NumPy integer >= `low`, as an int: the one rule for
@@ -280,19 +277,18 @@ def mttkrp(t: DenseTensor, model: KruskalModel, mode: int,
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:
-    """Dense tensor with entries sum_r prod_n A^(n)[i_n, r]."""
-    n_modes = model.order
-    if n_modes > len(_LETTERS):
-        raise ValueError(f"order {n_modes} exceeds supported maximum {len(_LETTERS)}")
-    expr = ",".join(_LETTERS[n] + "z" for n in range(n_modes)) + "->" + _LETTERS[:n_modes]
-    arr = np.einsum(expr, *model.factors, optimize=True)
-    return DenseTensor(model.dims, arr.ravel(order="F"))
+    """Dense tensor with entries sum_r prod_n A^(n)[i_n, r]: the last mode's
+    storage matrix A_{N-1} K^T, K the Khatri-Rao product of the earlier factors,
+    written by one GEMM (see the module docs)."""
+    *earlier, last = model.factors
+    return DenseTensor(model.dims, last @ _kr_chain(earlier, model.rank).T)
 
 
 def objective(t: DenseTensor, model: KruskalModel) -> float:
     """Squared Frobenius norm of the residual between `t` and the model."""
     _check_model(t, model)
-    resid = t.values - reconstruct(model).values
+    resid = reconstruct(model).values
+    resid -= t.values      # in the fresh buffer; model - t squares to the bits of t - model
     return float(resid @ resid)
 
 

@@ -8,8 +8,8 @@ sampled objective built from them by central finite differences.
 layout, and `read_run_csv` a trace CSV; the package itself has no reader for
 either.
 
-`per_mode_mttkrp` and `allocating_prox_block_solve` are kernels the package
-replaced, kept as the references of its differential tests.
+`einsum_reconstruct`, `per_mode_mttkrp` and `allocating_prox_block_solve` are
+kernels the package replaced, kept as the references of its differential tests.
 """
 
 import itertools
@@ -107,6 +107,20 @@ def read_run_csv(path) -> tuple[dict, list[dict]]:
         else:
             rows.append(dict(zip(header, line.split(","))))
     return echo, rows
+
+
+# rank axis uses 'z'; tensor modes take a..y, which caps the order at 25
+LETTERS = "abcdefghijklmnopqrstuvwxy"
+
+
+def einsum_reconstruct(model: KruskalModel) -> DenseTensor:
+    """Dense tensor with entries sum_r prod_n A^(n)[i_n, r]."""
+    n_modes = model.order
+    if n_modes > len(LETTERS):
+        raise ValueError(f"order {n_modes} exceeds supported maximum {len(LETTERS)}")
+    expr = ",".join(LETTERS[n] + "z" for n in range(n_modes)) + "->" + LETTERS[:n_modes]
+    arr = np.einsum(expr, *model.factors, optimize=True)
+    return DenseTensor(model.dims, arr.ravel(order="F"))
 
 
 def per_mode_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:

@@ -8,6 +8,12 @@ sweeps use the MTTKRP, within 1e-9.
 free4-ascpd's checkpoints 1-4 were re-recorded when the certified lambda cap
 (`solvers._cap_bounds`) replaced mu by 0 on its steps, a deliberate trace
 change: those R = 2 Grams certify, so mu_bar = lambda.
+
+free4-adacpd was re-recorded when `reconstruct` became one GEMM, a declared
+data change: the GEMM rounds free4's tensor differently from the einsum in
+the last bit, and adacpd's trace moves by up to 3e-11 relative under such
+moves (nudging 30% of the entries by one ulp moves it by 3e-11 to 1.5e-10).
+Every other entry stayed within its tolerance.
 """
 
 import pytest
@@ -90,11 +96,11 @@ GOLDEN = {
         (4, 5782, 0.9293721125348764),
     ],
     ("free4", "adacpd"): [
-        (0, 0, 1.0126181272900308),
+        (0, 0, 1.0126181272900305),
         (1, 1442, 1.0230753310209812),
-        (2, 2884, 0.48466199929581855),
-        (3, 4354, 0.2701282865631738),
-        (4, 5782, 0.26490853287297855),
+        (2, 2884, 0.4846619992984337),
+        (3, 4354, 0.2701282865629521),
+        (4, 5782, 0.2649085328806661),
     ],
     ("free4", "als"): [
         (0, 0, 1.0126181272900308),

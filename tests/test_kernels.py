@@ -3,15 +3,16 @@
 The oracles below are the earlier implementations, kept here only as
 references: the einsum MTTKRP, the row-digit decomposition with the
 index-matrix fiber gather and the Khatri-Rao rows built on it, and the metric
-from the full reconstruction.  `tests/oracles.py` holds the MTTKRP with one
-tensor-sized GEMM per mode and the allocating nonneg ALS block solve.
+from the full reconstruction.  `tests/oracles.py` holds the einsum
+reconstruction, the MTTKRP with one tensor-sized GEMM per mode and the
+allocating nonneg ALS block solve.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibercpd.constraints import Constraint
@@ -35,21 +36,19 @@ from fibercpd.tensor import (
     row_count,
 )
 
-from oracles import allocating_prox_block_solve, per_mode_mttkrp
-
-_LETTERS = "abcdefghijklmnopqrstuvwxy"
+from oracles import LETTERS, allocating_prox_block_solve, einsum_reconstruct, per_mode_mttkrp
 
 
 def einsum_mttkrp(t: DenseTensor, model: KruskalModel, mode: int) -> np.ndarray:
     # the rank-length ones stand in for the empty Khatri-Rao product at order 1,
     # where the einsum alone has no operand carrying the rank axis
     arr = t.values.reshape(t.dims, order="F")
-    operands, subs = [arr, np.ones(model.rank)], [_LETTERS[:t.order], "z"]
+    operands, subs = [arr, np.ones(model.rank)], [LETTERS[:t.order], "z"]
     for n in range(t.order):
         if n != mode:
             operands.append(model.factors[n])
-            subs.append(_LETTERS[n] + "z")
-    expr = ",".join(subs) + "->" + _LETTERS[mode] + "z"
+            subs.append(LETTERS[n] + "z")
+    expr = ",".join(subs) + "->" + LETTERS[mode] + "z"
     return np.einsum(expr, *operands, optimize=True)
 
 
@@ -114,6 +113,32 @@ def instance(seed, dims, rank):
     t = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
     model = KruskalModel([rng.standard_normal((d, rank)) for d in dims])
     return t, model
+
+
+# ---------------------------------------------------------------------------
+# reconstruct
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=dims_strategy, rank=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
+@example(dims=(3, 1, 4, 1, 2), rank=6, seed=0)
+@example(dims=(1,), rank=1, seed=1)
+def test_reconstruct_matches_einsum(dims, rank, seed):
+    # not bitwise: the GEMM's rounding depends on the BLAS build
+    _, model = instance(seed, dims, rank)
+    got = reconstruct(model)
+    assert got.dims == dims
+    assert rel_err(got.values, einsum_reconstruct(model).values) <= 1e-12
+
+
+def test_reconstruct_has_no_order_cap():
+    # the einsum form ran out of subscript letters past order 25
+    model = KruskalModel([np.full((1, 1), 2.0)] * 26)
+    assert reconstruct(model).values.tolist() == [2.0 ** 26]
+    noiseless, truth, _ = generate_synthetic(SyntheticSpec((1,) * 26, 1))
+    assert noiseless.values[0] == pytest.approx(math.prod(float(f[0, 0]) for f in truth.factors),
+                                                rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
