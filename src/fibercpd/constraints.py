@@ -20,17 +20,9 @@ class Constraint:
             raise ValueError(f"unknown constraint kind {self.kind!r}; "
                              f"choose from {CONSTRAINT_KINDS}")
 
-    def prox(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Euclidean projection onto the set; identity when unconstrained.
-
-        With `out` (which may be `m` itself) the projection is written there and
-        `out` is returned.  Without it, the unconstrained case returns the input
-        array itself, not a copy.
-        """
+    def prox(self, m: np.ndarray) -> np.ndarray:
+        """Euclidean projection of `m` onto the set, written into `m` itself,
+        which is returned: the caller hands over a buffer it owns."""
         if self.kind == "nonneg":
-            return np.maximum(m, 0.0, out=out)
-        if out is not None:
-            out[...] = m
-            return out
+            np.maximum(m, 0.0, out=m)
         return m
-

@@ -54,12 +54,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel, 
     clean = reconstruct(truth)
     if spec.snr_db is None:
         return clean, truth, 0.0
-    noise = rng.standard_normal(clean.values.size)
-    scale = math.sqrt(10.0 ** (spec.snr_db / 10.0)) * np.linalg.norm(noise)
+    noise = DenseTensor(spec.dims, rng.standard_normal(clean.values.size))   # no copy
+    scale = math.sqrt(10.0 ** (spec.snr_db / 10.0)) * math.sqrt(squared_norm(noise))
     sigma = math.sqrt(squared_norm(clean)) / scale
-    noise *= sigma            # in place: the same IEEE operations as clean + sigma * noise
-    noise += clean.values
-    return DenseTensor(spec.dims, noise), truth, float(sigma)
+    noise.values *= sigma     # in place: the same IEEE operations as clean + sigma * noise
+    noise.values += clean.values
+    return noise, truth, float(sigma)
 
 
 @dataclass(frozen=True)

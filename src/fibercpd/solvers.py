@@ -37,6 +37,7 @@ from .tensor import (
     DenseTensor,
     KruskalModel,
     as_count,
+    check_model,
     gather_fiber_rows,
     hadamard_gram,
     kr_rows,
@@ -231,7 +232,10 @@ def sampled_gradient(t: DenseTensor, model: KruskalModel, sample: FiberSample,
     and K_F = kr_rows(model, mode, F); the Gram matrix is the Hessian, returned
     for reuse as the curvature estimate.  At at = 0 it is minus the MTTKRP
     restricted to the sampled fibers.  Touches |F| * I_mode tensor entries.
+    The model must meet the tensor (`check_model`) and `at` must have the
+    shape of the sampled mode's factor; either failure raises a ValueError.
     """
+    check_model(t, model)
     at = np.asarray(at, dtype=np.float64)
     i = sample.mode
     if at.shape != (t.dims[i], model.rank):
@@ -389,7 +393,7 @@ def _prox_block_solve(a0: np.ndarray, gram: np.ndarray, rhs: np.ndarray,
         np.matmul(y, gram, out=a_new)
         a_new -= rhs
         a_new /= L
-        constraint.prox(np.subtract(y, a_new, out=a_new), out=a_new)
+        constraint.prox(np.subtract(y, a_new, out=a_new))
         np.subtract(a_new, a_prev, out=diff)
         change = np.linalg.norm(diff)
         scale = max(np.linalg.norm(a_prev), 1e-30)

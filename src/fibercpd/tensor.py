@@ -205,7 +205,7 @@ def gather_fiber_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
     return view[rows % left, :, rows // left]
 
 
-def _check_model(t: DenseTensor, model: KruskalModel) -> None:
+def check_model(t: DenseTensor, model: KruskalModel) -> None:
     """The one rule for a model against a tensor: one factor per mode, each with
     that mode's row count."""
     if model.dims != t.dims:
@@ -272,7 +272,7 @@ def mttkrp(t: DenseTensor, model: KruskalModel, mode: int,
     without it, bit for bit.
     """
     _check_mode(t.dims, mode)
-    _check_model(t, model)
+    check_model(t, model)
     return _mttkrp(t, model.factors, mode, shared)
 
 
@@ -286,7 +286,7 @@ def reconstruct(model: KruskalModel) -> DenseTensor:
 
 def objective(t: DenseTensor, model: KruskalModel) -> float:
     """Squared Frobenius norm of the residual between `t` and the model."""
-    _check_model(t, model)
+    check_model(t, model)
     resid = reconstruct(model).values
     resid -= t.values      # in the fresh buffer; model - t squares to the bits of t - model
     return float(resid @ resid)
@@ -324,7 +324,7 @@ def metric(t: DenseTensor, model: KruskalModel, norm_sq: float | None = None,
     the residual is formed exactly (`objective`) instead.  Undefined for the
     zero tensor.  A NaN model gives NaN.
     """
-    _check_model(t, model)
+    check_model(t, model)
     if norm_sq is None:
         norm_sq = squared_norm(t)
     if norm_sq == 0.0:

@@ -113,6 +113,39 @@ def test_sampled_gradient_shape_check():
         sampled_gradient(t, model, sample, np.zeros((3, 2)))
 
 
+MODEL_MISMATCH = r"model dims \(4, 2, 10\) do not match tensor dims \(4, 5, 4\)"
+
+
+def mismatched_problem(solver):
+    """A (4, 5, 4) tensor, a state built for (4, 2, 10) and a sample of every
+    mode-0 fiber: both mode-0 unfoldings have 20 rows, so the `at` shape and
+    every row index fit, and only the dims comparison tells them apart."""
+    rng = np.random.default_rng(0)
+    t = DenseTensor((4, 5, 4), rng.standard_normal(80))
+    return t, init_state(rng, (4, 2, 10), 2, solver), FiberSample(0, np.arange(20))
+
+
+def test_sampled_gradient_checks_the_model():
+    t, state, sample = mismatched_problem("spg")
+    with pytest.raises(ValueError, match=MODEL_MISMATCH):
+        sampled_gradient(t, state.model, sample, state.model.factors[0])
+    extra = KruskalModel([np.ones((d, 2)) for d in (4, 5, 4, 3)])
+    with pytest.raises(ValueError, match=r"model dims \(4, 5, 4, 3\) do not match"):
+        sampled_gradient(t, extra, sample, extra.factors[0])
+
+
+@pytest.mark.parametrize("solver", solvers.SCHEDULES)
+def test_iteration_checks_the_model_before_writing(solver):
+    t, state, sample = mismatched_problem(solver)
+    before = state.model.copy()
+    step = getattr(solvers, f"{solver}_iteration")
+    with pytest.raises(ValueError, match=MODEL_MISMATCH):
+        step(state, t, sample, NONNEG, solvers.SCHEDULES[solver]())
+    assert (state.iteration, state.work_units) == (0, 0)
+    for got, want in zip(state.model.factors, before.factors):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_sampled_gradient_expectation_over_subsets():
     # mean over all size-B fiber subsets == (B/J) * full gradient
     t, model = random_problem(5, dims=(3, 2, 2), rank=2)
