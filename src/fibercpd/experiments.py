@@ -21,8 +21,8 @@ from . import solvers
 from .constraints import Constraint
 from .sampling import FiberSampler
 from .solvers import SolverConfig, full_iteration_cost, init_state
-from .tensor import (DenseTensor, KruskalModel, as_count, as_dims, metric, reconstruct,
-                     squared_norm)
+from .tensor import (DenseTensor, KruskalModel, as_count, as_dims, hadamard_gram, metric,
+                     reconstruct, squared_norm)
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DenseTensor, KruskalModel, 
 
     Factors are i.i.d. uniform [0,1).  Noise is i.i.d. standard normal, scaled
     so the realized signal-to-noise ratio ||clean||^2 / (sigma^2 ||noise||^2)
-    hits 10^(snr_db/10) exactly for this realization.
+    hits 10^(snr_db/10) for this realization, ||clean||^2 taken from the factor
+    Grams.  The model is added into the scaled noise, so no clean tensor is formed.
     """
     rng = np.random.default_rng(spec.seed)
     truth = KruskalModel([rng.random((d, spec.rank)) for d in spec.dims])
-    clean = reconstruct(truth)
     if spec.snr_db is None:
-        return clean, truth, 0.0
-    noise = DenseTensor(spec.dims, rng.standard_normal(clean.values.size))   # no copy
-    scale = math.sqrt(10.0 ** (spec.snr_db / 10.0)) * math.sqrt(squared_norm(noise))
-    sigma = math.sqrt(squared_norm(clean)) / scale
-    noise.values *= sigma     # in place: the same IEEE operations as clean + sigma * noise
-    noise.values += clean.values
-    return noise, truth, float(sigma)
+        return reconstruct(truth), truth, 0.0
+    noise = rng.standard_normal(math.prod(spec.dims))
+    scale = math.sqrt(10.0 ** (spec.snr_db / 10.0)) * math.sqrt(float(noise @ noise))
+    sigma = math.sqrt(float(hadamard_gram(truth).sum())) / scale
+    noise *= sigma     # in place: the same IEEE operations as clean + sigma * noise
+    return reconstruct(truth, base=noise), truth, float(sigma)
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,7 @@ def run_trials(data, cfg: SolverConfig, trials: int) -> tuple[RunRecord, list[Ru
             records.append(run(tensor, replace(cfg, seed=seed_k), trial=k))
         except Exception as exc:
             raise RuntimeError(f"trial {k} (seed {seed_k}) failed: {exc}") from exc
+        del tensor   # so that trial k's tensor is freed before trial k+1's is generated
     return average_records(records), records
 
 

@@ -39,6 +39,7 @@ TENSOR_MAGIC = b"DTEN"
 FACTOR_MAGIC = b"DFAC"
 FORMAT_VERSION = 1
 CSV_COLUMNS = ("trial", "full_iter", "work_units", "m_k", "wall_seconds")
+CHECK_BLOCK = 1 << 16   # payload values per finiteness check: a block's mask, not a tensor's
 
 
 class FileFormatError(ValueError):
@@ -62,7 +63,8 @@ def _read_payload(f, path, dims) -> np.ndarray:
         raise FileFormatError(f"{path}: payload length {payload} bytes does not "
                               f"match dims {dims}, which require {8 * count}")
     values = np.fromfile(f, dtype="<f8", count=count)
-    if not np.isfinite(values).all():
+    if not all(np.isfinite(values[lo:lo + CHECK_BLOCK]).all()
+               for lo in range(0, count, CHECK_BLOCK)):
         raise FileFormatError(f"{path}: payload contains non-finite values")
     return values
 

@@ -28,7 +28,7 @@ operand C-contiguous and untransposed: a BLAS GEMM streams that form faster
 than a transposed one (up to 2x on OpenBLAS for these shapes), and the tensor
 is by far the largest operand.  The last mode's storage is the C-contiguous
 (I_{N-1}, L) matrix, contracted with the Khatri-Rao product K of the other
-factors; `reconstruct` writes that same matrix with one GEMM, A_{N-1} K^T.
+factors; `reconstruct` adds A_{N-1} K^T into a flat buffer in column blocks.
 Every other mode starts from the same partial product P = A_{N-1}^T X^T, with
 X^T the C-contiguous (I_{N-1}, prod of the other dims) view of the storage,
 and reduces it against the remaining factors.
@@ -276,19 +276,27 @@ def mttkrp(t: DenseTensor, model: KruskalModel, mode: int,
     return _mttkrp(t, model.factors, mode, shared)
 
 
-def reconstruct(model: KruskalModel) -> DenseTensor:
-    """Dense tensor with entries sum_r prod_n A^(n)[i_n, r]: the last mode's
-    storage matrix A_{N-1} K^T, K the Khatri-Rao product of the earlier factors,
-    written by one GEMM (see the module docs)."""
+def reconstruct(model: KruskalModel, base: np.ndarray | None = None) -> DenseTensor:
+    """Dense tensor with entries sum_r prod_n A^(n)[i_n, r], added into `base`
+    (a flat float64 array in storage order, written in place) or into zeros.
+    The last mode's storage matrix A_{N-1} K^T, K the Khatri-Rao product of the
+    earlier factors, is added in at most 64 column blocks of two columns or
+    more (BLAS's one-column path rounds differently); see the module docs."""
     *earlier, last = model.factors
-    return DenseTensor(model.dims, last @ _kr_chain(earlier, model.rank).T)
+    chain = _kr_chain(earlier, model.rank)
+    out = np.zeros(math.prod(model.dims)) if base is None else base
+    storage = out.reshape(last.shape[0], -1)
+    blocks = min(64, max(1, storage.shape[1] // 2))
+    edges = [storage.shape[1] * b // blocks for b in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        storage[:, lo:hi] += last @ chain[lo:hi].T
+    return DenseTensor(model.dims, out)
 
 
 def objective(t: DenseTensor, model: KruskalModel) -> float:
     """Squared Frobenius norm of the residual between `t` and the model."""
     check_model(t, model)
-    resid = reconstruct(model).values
-    resid -= t.values      # in the fresh buffer; model - t squares to the bits of t - model
+    resid = reconstruct(model, base=-t.values).values   # -t + model: the bits of model - t
     return float(resid @ resid)
 
 

@@ -47,6 +47,23 @@ def test_generate_snr_realized_exactly():
         assert abs(realized - target) <= 1e-12 * target
 
 
+def test_generate_noisy_is_model_plus_scaled_noise():
+    # the noise is the draw that follows the factor draws; sigma comes from the
+    # factor Grams, not from the clean tensor, and rounds as its dot product does
+    spec = SyntheticSpec((30, 20, 70), 7, snr_db=10.0, seed=21)
+    noisy, truth, sigma = generate_synthetic(spec)
+    rng = np.random.default_rng(spec.seed)
+    for d in spec.dims:
+        rng.random((d, spec.rank))
+    noise = rng.standard_normal(math.prod(spec.dims))
+    clean = reconstruct(truth).values
+    expected = clean + sigma * noise
+    assert np.abs(noisy.values - expected).max() <= 1e-13 * np.abs(noisy.values).max()
+    by_dot = math.sqrt(float(clean @ clean)) / (
+        math.sqrt(10.0 ** (spec.snr_db / 10.0)) * math.sqrt(float(noise @ noise)))
+    assert abs(sigma - by_dot) <= 1e-15 * by_dot
+
+
 def test_generate_clean_entries_bounded_by_rank():
     spec = SyntheticSpec((5, 5, 5), 4, seed=2)
     clean, truth, _ = generate_synthetic(spec)

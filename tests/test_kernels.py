@@ -124,12 +124,24 @@ def instance(seed, dims, rank):
 @given(dims=dims_strategy, rank=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
 @example(dims=(3, 1, 4, 1, 2), rank=6, seed=0)
 @example(dims=(1,), rank=1, seed=1)
+@example(dims=(5, 13, 3), rank=4, seed=2)         # 65 storage columns: 32 blocks of 2 or 3
+@example(dims=(4, 4, 4, 4, 2), rank=3, seed=3)    # 256 storage columns: 64 blocks of 4
+@example(dims=(5, 5, 15, 2), rank=2, seed=4)      # 375 storage columns: 64 blocks of 5 or 6
+@example(dims=(1, 1, 4), rank=2, seed=5)          # a single storage column
 def test_reconstruct_matches_einsum(dims, rank, seed):
     # not bitwise: the GEMM's rounding depends on the BLAS build
     _, model = instance(seed, dims, rank)
     got = reconstruct(model)
     assert got.dims == dims
     assert rel_err(got.values, einsum_reconstruct(model).values) <= 1e-12
+
+
+def test_reconstruct_adds_into_base_in_place():
+    t, model = instance(5, (6, 5, 70), 3)
+    base = t.values.copy()
+    got = reconstruct(model, base=base)
+    assert np.shares_memory(got.values, base)
+    assert rel_err(got.values, t.values + reconstruct(model).values) <= 1e-14
 
 
 def test_reconstruct_has_no_order_cap():

@@ -6,6 +6,7 @@ import pytest
 
 from fibercpd.experiments import Checkpoint, RunRecord
 from fibercpd.storage import (
+    CHECK_BLOCK,
     FileFormatError,
     read_tensor,
     write_factors,
@@ -95,15 +96,20 @@ def test_tensor_wrong_size_rejected(tmp_path, cut, match):
         read_tensor(path)
 
 
-def test_tensor_nan_payload_rejected(tmp_path):
-    t = DenseTensor((2, 2), np.ones(4))
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_tensor_nan_payload_rejected(tmp_path, bad, index):
+    # the payload spans more than one finiteness-check block; the bad value sits
+    # at its first or last entry, and the same payload without it is accepted
+    values = np.ones(2 * CHECK_BLOCK + 3)
+    values[index] = bad
     path = tmp_path / "t.dten"
-    write_tensor(t, path)
-    raw = bytearray(path.read_bytes())
-    raw[-8:] = struct.pack("<d", float("nan"))
-    path.write_bytes(bytes(raw))
+    write_tensor(DenseTensor(values.shape, values), path)
     with pytest.raises(FileFormatError, match="non-finite"):
         read_tensor(path)
+    values[index] = 1.0
+    write_tensor(DenseTensor(values.shape, values), path)
+    assert np.array_equal(read_tensor(path).values, values)
 
 
 def test_factors_roundtrip(tmp_path):
